@@ -123,80 +123,6 @@ BM_Fastpath(benchmark::State &state)
 BENCHMARK(BM_Fastpath);
 
 static void
-BM_FastpathTraced(benchmark::State &state)
-{
-    // Same kernel with full trace recording (branches, memory
-    // addresses, queue pushes) into an in-memory ExecTrace.
-    const Program prog = benchKernel(false);
-    std::uint64_t insns = 0;
-    for (auto _ : state) {
-        MainMemory mem;
-        prog.loadInto(mem);
-        const fastpath::TracedRun tr =
-            fastpath::recordTrace(prog, mem);
-        insns += tr.result.steps;
-        benchmark::DoNotOptimize(tr.trace.threads.size());
-    }
-    state.counters["MIPS"] = benchmark::Counter(
-        static_cast<double>(insns) / 1e6,
-        benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_FastpathTraced);
-
-static void
-BM_FastpathStreaming(benchmark::State &state)
-{
-    // Trace recording through the bounded SPSC ring with the
-    // drain on this thread — the shape the lab executor uses.
-    const Program prog = benchKernel(false);
-    std::uint64_t insns = 0;
-    for (auto _ : state) {
-        MainMemory mem;
-        prog.loadInto(mem);
-        const fastpath::TracedRun tr =
-            fastpath::recordTraceStreaming(prog, mem);
-        insns += tr.result.steps;
-        benchmark::DoNotOptimize(tr.trace.threads.size());
-    }
-    state.counters["MIPS"] = benchmark::Counter(
-        static_cast<double>(insns) / 1e6,
-        benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_FastpathStreaming);
-
-static void
-BM_CoreReplay(benchmark::State &state)
-{
-    // The timing half of the functional-first pipeline: the
-    // BM_Core/4 shape driven in verified replay mode from a
-    // pre-recorded trace.
-    const Program prog = benchKernel(true);
-    CoreConfig cfg;
-    cfg.num_slots = 4;
-    cfg.fus.load_store = 2;
-    InterpConfig icfg;
-    icfg.num_threads = cfg.num_slots;
-    icfg.queue_depth = cfg.queue_reg_depth;
-    MainMemory fmem;
-    prog.loadInto(fmem);
-    const fastpath::TracedRun recorded =
-        fastpath::recordTrace(prog, fmem, icfg);
-    std::uint64_t cycles = 0, insns = 0;
-    for (auto _ : state) {
-        MainMemory mem;
-        prog.loadInto(mem);
-        MultithreadedProcessor cpu(prog, mem, cfg);
-        cpu.setReplayTrace(&recorded.trace);
-        const RunStats s = cpu.run();
-        cycles += s.cycles;
-        insns += s.instructions;
-        benchmark::DoNotOptimize(s.cycles);
-    }
-    reportRates(state, cycles, insns);
-}
-BENCHMARK(BM_CoreReplay);
-
-static void
 BM_Baseline(benchmark::State &state)
 {
     const Program prog = benchKernel(false);

@@ -6,14 +6,15 @@
 # The build must be a Release build: the script refuses any other
 # CMAKE_BUILD_TYPE (numbers from debug-ish builds are not
 # comparable and must never land in BENCH_simspeed.json), and it
-# records/validates library_build_type in the emitted JSON context.
+# stamps smtsim_build_type (read from the CMake cache) into the
+# JSON context and checks it there (scripts/bench_guard.sh).
 #
 # Also guards two perf promises:
 #  - observability no-cost-when-disabled: BM_CoreTraceOff (event
 #    sink detached) must stay within SMTSIM_BENCH_TRACE_PCT percent
 #    (default 2) of the plain BM_Core/4 row from the same run
 #    (docs/OBSERVABILITY.md);
-#  - functional-first speedup: BM_Fastpath must reach at least
+#  - fast-engine speedup: BM_Fastpath must reach at least
 #    SMTSIM_BENCH_FAST_X times (default 3) the MIPS of
 #    BM_Interpreter on the same kernel (docs/PERF.md).
 #
@@ -39,43 +40,16 @@ if [ ! -x "$build/bench/bench_simspeed" ]; then
     exit 1
 fi
 
-# Refuse non-Release builds up front: the benchmark binary cannot
-# tell how the library it links was compiled, so read the build
-# type straight out of the CMake cache.
-if [ ! -f "$build/CMakeCache.txt" ]; then
-    echo "bench guard: $build/CMakeCache.txt not found (not a CMake build dir?)" >&2
-    exit 1
-fi
-build_type=$(sed -n 's/^CMAKE_BUILD_TYPE:[^=]*=//p' "$build/CMakeCache.txt")
-if [ "$build_type" != "Release" ]; then
-    echo "bench guard: $build is a '${build_type:-<unset>}' build;" \
-         "simulator-throughput numbers are only meaningful from a" \
-         "Release build:" >&2
-    echo "    cmake -B build-release -DCMAKE_BUILD_TYPE=Release &&" \
-         "cmake --build build-release --target bench_simspeed" >&2
-    exit 1
-fi
+. "$(dirname "$0")/bench_guard.sh"
+bench_require_release "$build" bench_simspeed simulator-throughput
 
 "$build/bench/bench_simspeed" \
     --benchmark_min_time="$min_time" \
     --benchmark_out="$out" \
     --benchmark_out_format=json \
-    --benchmark_context=library_build_type=Release
+    "$(bench_stamp_flag)"
 
-# Belt and braces: the context we just asked for must actually be in
-# the artifact, so downstream consumers (EXPERIMENTS.md, CI diffs)
-# can trust any BENCH_simspeed.json they are handed.
-python3 - "$out" <<'EOF'
-import json
-import sys
-
-out = sys.argv[1]
-ctx = json.load(open(out))["context"]
-lbt = ctx.get("library_build_type")
-if lbt != "Release":
-    sys.exit(f"bench guard: {out} context.library_build_type is "
-             f"{lbt!r}, expected 'Release'")
-EOF
+bench_check_stamp "$out"
 
 echo "wrote $out" >&2
 
@@ -83,7 +57,7 @@ if [ "$fast_x" = "skip" ]; then
     echo "fastpath speedup guard skipped" >&2
 else
     # Same kernel, same MIPS definition, same run — the ratio is the
-    # functional-first headline number (docs/PERF.md).
+    # fast engine's headline number (docs/PERF.md).
     python3 - "$out" "$fast_x" <<'EOF'
 import json
 import sys

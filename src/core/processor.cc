@@ -78,23 +78,6 @@ MultithreadedProcessor::MultithreadedProcessor(const Program &prog,
 }
 
 void
-MultithreadedProcessor::setReplayTrace(const ExecTrace *trace)
-{
-    replay_ = trace;
-    if (!trace)
-        return;
-    SMTSIM_ASSERT(now_ == 0,
-                  "replay must be armed before the first cycle");
-    for (int f = 1; f < cfg_.frames(); ++f) {
-        SMTSIM_ASSERT(contexts_[f].state == CtxState::Unused,
-                      "replay is incompatible with spawnContext");
-    }
-    contexts_[0].trace_tid = 0;
-    contexts_[0].next_branch = 0;
-    contexts_[0].next_mem = 0;
-}
-
-void
 MultithreadedProcessor::setRemoteModel(RemoteTimingModel *model)
 {
     SMTSIM_ASSERT(now_ == 0,
@@ -122,89 +105,11 @@ MultithreadedProcessor::completeRemote(int frame, Cycle ready_at)
     last_activity_ = std::max(last_activity_, ready_at);
 }
 
-void
-MultithreadedProcessor::replayBranch(Context &ctx, Addr pc,
-                                     Addr evaluated)
-{
-    if (ctx.trace_tid < 0 ||
-        static_cast<std::size_t>(ctx.trace_tid) >=
-            replay_->threads.size()) {
-        throw ReplayDivergence(
-            "replay: branch on a thread the trace does not know");
-    }
-    const auto &recs =
-        replay_->threads[static_cast<std::size_t>(ctx.trace_tid)]
-            .branches;
-    if (ctx.next_branch >= recs.size())
-        throw ReplayDivergence("replay: branch stream exhausted");
-    const BranchRec &rec = recs[ctx.next_branch];
-    if (rec.pc != pc)
-        throw ReplayDivergence("replay: branch pc mismatch");
-    if (rec.next != evaluated) {
-        throw ReplayDivergence(
-            "replay: branch outcome diverged from recording");
-    }
-    ++ctx.next_branch;
-}
-
-void
-MultithreadedProcessor::replayMemAddr(const Context &ctx, Addr pc,
-                                      Addr addr) const
-{
-    if (ctx.trace_tid < 0 ||
-        static_cast<std::size_t>(ctx.trace_tid) >=
-            replay_->threads.size()) {
-        throw ReplayDivergence(
-            "replay: memory op on a thread the trace does not know");
-    }
-    const auto &recs =
-        replay_->threads[static_cast<std::size_t>(ctx.trace_tid)]
-            .mems;
-    if (ctx.next_mem >= recs.size())
-        throw ReplayDivergence("replay: memory stream exhausted");
-    const MemRec &rec = recs[ctx.next_mem];
-    if (rec.pc != pc)
-        throw ReplayDivergence("replay: memory pc mismatch");
-    if (rec.addr != addr) {
-        throw ReplayDivergence(
-            "replay: memory address diverged from recording");
-    }
-}
-
-void
-MultithreadedProcessor::checkReplayDrained() const
-{
-    for (std::size_t tid = 0; tid < replay_->threads.size();
-         ++tid) {
-        const ThreadTrace &tt = replay_->threads[tid];
-        const Context *claimed = nullptr;
-        for (const Context &ctx : contexts_) {
-            if (ctx.trace_tid == static_cast<int>(tid)) {
-                claimed = &ctx;
-                break;
-            }
-        }
-        if (!claimed) {
-            if (!tt.branches.empty() || !tt.mems.empty())
-                throw ReplayDivergence(
-                    "replay: recorded thread never started");
-            continue;
-        }
-        if (claimed->next_branch != tt.branches.size() ||
-            claimed->next_mem != tt.mems.size()) {
-            throw ReplayDivergence(
-                "replay: records left over at completion");
-        }
-    }
-}
-
 int
 MultithreadedProcessor::spawnContext(
     Addr entry, const std::array<std::uint32_t, kNumRegs> &iregs,
     const std::array<double, kNumRegs> &fregs)
 {
-    if (replay_)
-        fatal("spawnContext: unsupported in replay mode");
     for (int f = 0; f < cfg_.frames(); ++f) {
         if (contexts_[f].state == CtxState::Unused) {
             contexts_[f].state = CtxState::Ready;
@@ -859,11 +764,6 @@ MultithreadedProcessor::performGrant(const Grant &grant, Cycle c)
     if (op.insn.isMem()) {
         const Addr addr =
             op.ops.rs_i + static_cast<std::uint32_t>(op.insn.imm);
-        // Replay mode checks the address against the recording; the
-        // record is consumed only once the access completes, so a
-        // trapped op re-checks the same record when it resumes.
-        if (replay_)
-            replayMemAddr(ctx, op.pc, addr);
         Cycle result_lat =
             static_cast<Cycle>(meta.result_latency);
 
@@ -883,8 +783,6 @@ MultithreadedProcessor::performGrant(const Grant &grant, Cycle c)
                              ? remote_model_->uncontendedLatency(addr)
                              : cfg_.remote.latency;
         }
-        if (replay_)
-            ++ctx.next_mem;
         if (satisfied)
             ctx.satisfied_addr.reset();
 
@@ -1053,8 +951,6 @@ MultithreadedProcessor::handleControl(int slot_id,
             break;
           case Op::JR:
             next = ops.rs_i;
-            if (replay_)
-                replayBranch(ctx, entry.pc, next);
             break;
           case Op::JALR:
             if (insn.rd != 0) {
@@ -1062,16 +958,12 @@ MultithreadedProcessor::handleControl(int slot_id,
                 slot.isb[insn.rd] = c;
             }
             next = ops.rs_i;
-            if (replay_)
-                replayBranch(ctx, entry.pc, next);
             break;
           default:
             if (evalBranch(insn.op, ops.rs_i, ops.rt_i)) {
                 next = entry.pc + kInsnBytes +
                        static_cast<Addr>(insn.imm * 4);
             }
-            if (replay_)
-                replayBranch(ctx, entry.pc, next);
             break;
         }
         ++stats_.branches;
@@ -1156,14 +1048,6 @@ MultithreadedProcessor::handleControl(int slot_id,
             contexts_[frame].q_write_fp = ctx.q_write_fp;
             contexts_[frame].resume_pc = entry.pc + kInsnBytes;
             contexts_[frame].state = CtxState::Ready;
-            // Thread i of the recording engine starts on slot i
-            // (the FASTFORK convention), so the forked context
-            // plays back trace thread j.
-            if (replay_) {
-                contexts_[frame].trace_tid = j;
-                contexts_[frame].next_branch = 0;
-                contexts_[frame].next_mem = 0;
-            }
             bindContext(frame, j, c);
         }
         break;
@@ -1180,13 +1064,6 @@ MultithreadedProcessor::handleControl(int slot_id,
             ++*stall_priority_;
             return ControlOutcome::Blocked;
         }
-        // The kill point is timing-dependent: the victims' record
-        // streams cannot be lined up with a functional recording,
-        // so KILLT programs are not replayable.
-        if (replay_)
-            throw ReplayDivergence("replay: KILLT is not "
-                                   "replayable (timing-dependent "
-                                   "kill point)");
         killOtherThreads(slot_id, c);
         break;
       case Op::TID:
@@ -1675,11 +1552,6 @@ MultithreadedProcessor::runUntil(Cycle stop)
         decodePhase(now_);
         rotationPhase(now_);
         if (allDone()) {
-            // Replay sanity: a finished run must have consumed
-            // every record of every claimed stream, or the timing
-            // it produced came from the wrong dynamic path.
-            if (replay_)
-                checkReplayDrained();
             stats_.cycles = std::max(now_, last_activity_);
             stats_.finished = true;
             finished_ = true;

@@ -44,7 +44,6 @@
 #include "machine/run_stats.hh"
 #include "mem/memory.hh"
 #include "obs/event.hh"
-#include "trace/exec_trace.hh"
 
 namespace smtsim
 {
@@ -143,30 +142,6 @@ class MultithreadedProcessor
     std::uint64_t checkpointFingerprint() const;
 
     /**
-     * Arm verified trace replay (the timing half of the
-     * functional-first pipeline, docs/PERF.md): the run executes
-     * normally, but every data-dependent decision — resolved branch
-     * targets and memory effective addresses — is checked against
-     * @p trace, and the run throws ReplayDivergence at the first
-     * disagreement. A run that completes is therefore certified to
-     * have executed exactly the recorded instruction streams, and
-     * its cycles and statistics are bit-identical to an
-     * execute-mode run by construction. Divergence fires precisely
-     * when per-thread control flow is interleaving-dependent
-     * (memory spin-waits, and KILLT, whose kill point is
-     * timing-dependent) — the cases where a recorded trace cannot
-     * stand in for execution. Callers catch ReplayDivergence and
-     * fall back to execute mode.
-     *
-     * Must be called on a freshly constructed processor, before the
-     * first cycle; @p trace must outlive the run and its thread
-     * vector is indexed by thread slot (thread i of the recording
-     * engine = slot i, the FASTFORK convention). Pass nullptr to
-     * disarm. Incompatible with spawnContext() and checkpoints.
-     */
-    void setReplayTrace(const ExecTrace *trace);
-
-    /**
      * Attach the many-core machine's inter-core timing model
      * (src/core/remote_model.hh). With a model attached, a
      * data-absence trap no longer charges the RemoteRegion's fixed
@@ -230,13 +205,6 @@ class MultithreadedProcessor
         /** Remote line now present; next access to it hits. */
         std::optional<Addr> satisfied_addr;
         std::uint64_t insns = 0;
-
-        /** Replay mode: which recorded thread this context plays
-         *  back (-1 = none), and the per-stream read cursors. Not
-         *  checkpointed — replay and checkpoints are exclusive. */
-        int trace_tid = -1;
-        std::size_t next_branch = 0;
-        std::size_t next_mem = 0;
     };
 
     // ----- thread slots ------------------------------------------
@@ -364,18 +332,6 @@ class MultithreadedProcessor
                      std::uint32_t ival, double fval, Cycle c);
     void takeRemoteTrap(const IssuedOp &op, Cycle c, Addr addr);
 
-    // verified trace replay
-    /** Consume the context's next branch record; @p pc and the
-     *  @p evaluated resolved target must both match it. */
-    void replayBranch(Context &ctx, Addr pc, Addr evaluated);
-    /** Check the context's next memory record against @p pc /
-     *  @p addr without consuming it (a data-absence trap re-checks
-     *  the same record on resume). */
-    void replayMemAddr(const Context &ctx, Addr pc,
-                       Addr addr) const;
-    /** Throw unless every claimed record stream is fully drained. */
-    void checkReplayDrained() const;
-
     // thread management
     void bindContext(int frame, int slot_id, Cycle c);
     void unbindSlot(int slot_id);
@@ -427,9 +383,6 @@ class MultithreadedProcessor
 
     RunStats stats_;
     stats::Group detail_{"core"};
-
-    /** Armed execution trace for replay mode (not owned). */
-    const ExecTrace *replay_ = nullptr;
 
     /** Inter-core timing model for remote accesses (not owned);
      *  nullptr = the fixed-latency RemoteRegion stub. */

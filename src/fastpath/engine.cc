@@ -2,13 +2,10 @@
 
 #include <bit>
 #include <cmath>
-#include <exception>
-#include <thread>
 #include <utility>
 
 #include "base/logging.hh"
 #include "isa/semantics.hh"
-#include "trace/spsc.hh"
 
 // Computed goto is a GNU extension; everything else gets the
 // equivalent switch-based dispatch.
@@ -274,8 +271,7 @@ FastEngine::memWriteDouble(Addr addr, double value)
 
 // ---------------------------------------------------------------
 // Queue-aware register access (generic path), faithful to
-// Interpreter::readInt/readFp/writeInt/writeFp, plus queue-push
-// trace recording.
+// Interpreter::readInt/readFp/writeInt/writeFp.
 
 bool
 FastEngine::readInt(Thread &t, int tid, RegIndex idx,
@@ -309,16 +305,14 @@ FastEngine::readFp(Thread &t, int tid, RegIndex idx, double &out)
 }
 
 bool
-FastEngine::writeInt(Thread &t, int tid, Addr pc, RegIndex idx,
-                     std::uint32_t value, TraceRecorder *rec)
+FastEngine::writeInt(Thread &t, int tid, RegIndex idx,
+                     std::uint32_t value)
 {
     if (t.q_write_int && *t.q_write_int == idx) {
         auto &q = queueFrom(tid);
         if (static_cast<int>(q.size()) >= cfg_.queue_depth)
             return false;
         q.push_back(value);
-        if (rec)
-            rec->onQueuePush(tid, pc, value);
         return true;
     }
     if (idx != 0)
@@ -327,17 +321,14 @@ FastEngine::writeInt(Thread &t, int tid, Addr pc, RegIndex idx,
 }
 
 bool
-FastEngine::writeFp(Thread &t, int tid, Addr pc, RegIndex idx,
-                    double value, TraceRecorder *rec)
+FastEngine::writeFp(Thread &t, int tid, RegIndex idx,
+                    double value)
 {
     if (t.q_write_fp && *t.q_write_fp == idx) {
         auto &q = queueFrom(tid);
         if (static_cast<int>(q.size()) >= cfg_.queue_depth)
             return false;
         q.push_back(std::bit_cast<std::uint64_t>(value));
-        if (rec)
-            rec->onQueuePush(tid, pc,
-                             std::bit_cast<std::uint64_t>(value));
         return true;
     }
     t.fregs[idx] = value;
@@ -374,10 +365,8 @@ FastEngine::soleRunner() const
 // QEN/QENF (mappings from then on), or when the step budget runs
 // out; QDIS and a childless FASTFORK stay in the loop.
 
-template <bool Traced>
 FastEngine::ChunkExit
-FastEngine::runChunk(int tid, std::uint64_t &total,
-                     TraceRecorder *rec)
+FastEngine::runChunk(int tid, std::uint64_t &total)
 {
     Thread &t = threads_[static_cast<std::size_t>(tid)];
     std::uint32_t *const R = t.iregs.data();
@@ -592,77 +581,56 @@ L_FSQRT:
     // sole running thread always holds.
 L_LW: {
     const Addr a = R[fo->rs] + static_cast<std::uint32_t>(fo->imm);
-    if constexpr (Traced)
-        rec->onMem(tid, pc, a);
     R[fo->dst] = memRead32(a);
     NEXT();
 }
 L_SW:
 L_PSTW: {
     const Addr a = R[fo->rs] + static_cast<std::uint32_t>(fo->imm);
-    if constexpr (Traced)
-        rec->onMem(tid, pc, a);
     memWrite32(a, R[fo->rt]);
     NEXT();
 }
 L_LF: {
     const Addr a = R[fo->rs] + static_cast<std::uint32_t>(fo->imm);
-    if constexpr (Traced)
-        rec->onMem(tid, pc, a);
     F[fo->rt] = memReadDouble(a);
     NEXT();
 }
 L_SF:
 L_PSTF: {
     const Addr a = R[fo->rs] + static_cast<std::uint32_t>(fo->imm);
-    if constexpr (Traced)
-        rec->onMem(tid, pc, a);
     memWriteDouble(a, F[fo->rt]);
     NEXT();
 }
 
-    // Branches. Conditional and indirect outcomes are recorded
-    // (replay needs them); J/JAL targets are static.
+    // Branches. J/JAL targets are static.
 L_BEQ: {
     const Addr nxt =
         R[fo->rs] == R[fo->rt] ? fo->target : pc + kInsnBytes;
-    if constexpr (Traced)
-        rec->onBranch(tid, pc, nxt);
     NEXT_AT(nxt);
 }
 L_BNE: {
     const Addr nxt =
         R[fo->rs] != R[fo->rt] ? fo->target : pc + kInsnBytes;
-    if constexpr (Traced)
-        rec->onBranch(tid, pc, nxt);
     NEXT_AT(nxt);
 }
 L_BLEZ: {
     const Addr nxt =
         asSigned(R[fo->rs]) <= 0 ? fo->target : pc + kInsnBytes;
-    if constexpr (Traced)
-        rec->onBranch(tid, pc, nxt);
     NEXT_AT(nxt);
 }
 L_BGTZ: {
     const Addr nxt =
         asSigned(R[fo->rs]) > 0 ? fo->target : pc + kInsnBytes;
-    if constexpr (Traced)
-        rec->onBranch(tid, pc, nxt);
     NEXT_AT(nxt);
 }
 L_BLTZ: {
     const Addr nxt =
         asSigned(R[fo->rs]) < 0 ? fo->target : pc + kInsnBytes;
-    if constexpr (Traced)
-        rec->onBranch(tid, pc, nxt);
     NEXT_AT(nxt);
 }
 L_BGEZ: {
     const Addr nxt =
         asSigned(R[fo->rs]) >= 0 ? fo->target : pc + kInsnBytes;
-    if constexpr (Traced)
-        rec->onBranch(tid, pc, nxt);
     NEXT_AT(nxt);
 }
 L_J:
@@ -672,15 +640,11 @@ L_JAL:
     NEXT_AT(fo->target);
 L_JR: {
     const Addr nxt = R[fo->rs];
-    if constexpr (Traced)
-        rec->onBranch(tid, pc, nxt);
     NEXT_AT(nxt);
 }
 L_JALR: {
     const Addr nxt = R[fo->rs]; // read rs before a same-reg link
     R[fo->dst] = pc + kInsnBytes;
-    if constexpr (Traced)
-        rec->onBranch(tid, pc, nxt);
     NEXT_AT(nxt);
 }
 
@@ -770,11 +734,10 @@ done: {
 // error behaviour stay bit-identical.
 
 bool
-FastEngine::stepGeneric(int tid, TraceRecorder *rec)
+FastEngine::stepGeneric(int tid)
 {
     Thread &t = threads_[static_cast<std::size_t>(tid)];
-    const Addr insn_pc = t.pc;
-    const Insn &insn = text_.at(insn_pc);
+    const Insn &insn = text_.at(t.pc);
     const Op op = insn.op;
 
     // Blocking pre-checks: an instruction executes completely or
@@ -904,23 +867,17 @@ FastEngine::stepGeneric(int tid, TraceRecorder *rec)
             break;
           case Op::JR:
             next_pc = a;
-            if (rec)
-                rec->onBranch(tid, insn_pc, next_pc);
             break;
           case Op::JALR:
             if (insn.rd != 0)
                 t.iregs[insn.rd] = t.pc + kInsnBytes;
             next_pc = a;
-            if (rec)
-                rec->onBranch(tid, insn_pc, next_pc);
             break;
           default:
             if (evalBranch(op, a, b)) {
                 next_pc = t.pc + kInsnBytes +
                           static_cast<Addr>(insn.imm * 4);
             }
-            if (rec)
-                rec->onBranch(tid, insn_pc, next_pc);
             break;
         }
     } else if (insn.isMem()) {
@@ -929,18 +886,14 @@ FastEngine::stepGeneric(int tid, TraceRecorder *rec)
             panic("queue precheck missed a base register");
         const Addr addr =
             base + static_cast<std::uint32_t>(insn.imm);
-        if (rec)
-            rec->onMem(tid, insn_pc, addr);
         switch (op) {
           case Op::LW: {
-            if (!writeInt(t, tid, insn_pc, insn.rt,
-                          memRead32(addr), rec))
+            if (!writeInt(t, tid, insn.rt, memRead32(addr)))
                 panic("queue precheck missed a load destination");
             break;
           }
           case Op::LF: {
-            if (!writeFp(t, tid, insn_pc, insn.rt,
-                         memReadDouble(addr), rec))
+            if (!writeFp(t, tid, insn.rt, memReadDouble(addr)))
                 panic("queue precheck missed a load destination");
             break;
           }
@@ -973,8 +926,7 @@ FastEngine::stepGeneric(int tid, TraceRecorder *rec)
                 !readFp(t, tid, insn.rt, b)) {
                 panic("queue precheck missed an FP source");
             }
-            if (!writeFp(t, tid, insn_pc, insn.rd,
-                         execFpOp(op, a, b), rec))
+            if (!writeFp(t, tid, insn.rd, execFpOp(op, a, b)))
                 panic("queue precheck missed an FP destination");
             break;
           }
@@ -982,8 +934,7 @@ FastEngine::stepGeneric(int tid, TraceRecorder *rec)
             double a = 0;
             if (!readFp(t, tid, insn.rs, a))
                 panic("queue precheck missed an FP source");
-            if (!writeFp(t, tid, insn_pc, insn.rd,
-                         execFpOp(op, a, 0.0), rec))
+            if (!writeFp(t, tid, insn.rd, execFpOp(op, a, 0.0)))
                 panic("queue precheck missed an FP destination");
             break;
           }
@@ -993,8 +944,7 @@ FastEngine::stepGeneric(int tid, TraceRecorder *rec)
                 !readFp(t, tid, insn.rt, b)) {
                 panic("queue precheck missed an FP source");
             }
-            if (!writeInt(t, tid, insn_pc, insn.rd,
-                          execFpToIntOp(op, a, b), rec)) {
+            if (!writeInt(t, tid, insn.rd, execFpToIntOp(op, a, b))) {
                 panic("queue precheck missed a cmp destination");
             }
             break;
@@ -1005,7 +955,7 @@ FastEngine::stepGeneric(int tid, TraceRecorder *rec)
                 panic("queue precheck missed an itof source");
             const double v =
                 static_cast<double>(static_cast<std::int32_t>(a));
-            if (!writeFp(t, tid, insn_pc, insn.rd, v, rec))
+            if (!writeFp(t, tid, insn.rd, v))
                 panic("queue precheck missed an itof destination");
             break;
           }
@@ -1013,8 +963,7 @@ FastEngine::stepGeneric(int tid, TraceRecorder *rec)
             double a = 0;
             if (!readFp(t, tid, insn.rs, a))
                 panic("queue precheck missed an ftoi source");
-            if (!writeInt(t, tid, insn_pc, insn.rd,
-                          execFpToIntOp(op, a, 0.0), rec)) {
+            if (!writeInt(t, tid, insn.rd, execFpToIntOp(op, a, 0.0))) {
                 panic("queue precheck missed an ftoi destination");
             }
             break;
@@ -1034,7 +983,7 @@ FastEngine::stepGeneric(int tid, TraceRecorder *rec)
         }
         const std::uint32_t result = execIntOp(insn, a, b);
         const RegRef dst = insn.dst();
-        if (!writeInt(t, tid, insn_pc, dst.idx, result, rec))
+        if (!writeInt(t, tid, dst.idx, result))
             panic("queue precheck missed an int destination");
     }
 
@@ -1045,7 +994,7 @@ FastEngine::stepGeneric(int tid, TraceRecorder *rec)
 }
 
 InterpResult
-FastEngine::run(TraceRecorder *rec)
+FastEngine::run()
 {
     InterpResult result;
     std::uint64_t total = 0;
@@ -1053,9 +1002,7 @@ FastEngine::run(TraceRecorder *rec)
     while (total < cfg_.max_steps) {
         const int solo = soleRunner();
         if (solo >= 0) {
-            const ChunkExit e =
-                rec ? runChunk<true>(solo, total, rec)
-                    : runChunk<false>(solo, total, rec);
+            const ChunkExit e = runChunk(solo, total);
             if (e == ChunkExit::Forked) {
                 // The fork happened mid-round: the interpreter
                 // steps the higher-numbered (just-activated)
@@ -1067,7 +1014,7 @@ FastEngine::run(TraceRecorder *rec)
                     if (threads_[static_cast<std::size_t>(tid)]
                             .state != ThreadState::Running)
                         continue;
-                    if (stepGeneric(tid, rec))
+                    if (stepGeneric(tid))
                         ++total;
                 }
             }
@@ -1081,7 +1028,7 @@ FastEngine::run(TraceRecorder *rec)
                 ThreadState::Running)
                 continue;
             any_running = true;
-            if (stepGeneric(tid, rec)) {
+            if (stepGeneric(tid)) {
                 progressed = true;
                 ++total;
             }
@@ -1103,52 +1050,6 @@ FastEngine::run(TraceRecorder *rec)
     }
     result.steps = total;
     return result;
-}
-
-TracedRun
-recordTrace(const Program &prog, MainMemory &mem,
-            const InterpConfig &cfg)
-{
-    FastEngine engine(prog, mem, cfg);
-    TraceBuilder builder(cfg.num_threads);
-    TracedRun out;
-    out.result = engine.run(&builder);
-    ExecTrace &trace = builder.trace();
-    trace.entry = prog.entry;
-    for (std::size_t i = 0; i < trace.threads.size(); ++i)
-        trace.threads[i].insns = out.result.per_thread_steps[i];
-    out.trace = std::move(trace);
-    return out;
-}
-
-TracedRun
-recordTraceStreaming(const Program &prog, MainMemory &mem,
-                     const InterpConfig &cfg)
-{
-    SpscRing<StreamRec> ring(1u << 14);
-    TracedRun out;
-    out.trace.entry = prog.entry;
-    out.trace.threads.resize(
-        static_cast<std::size_t>(cfg.num_threads));
-
-    FastEngine engine(prog, mem, cfg);
-    std::exception_ptr err;
-    std::thread producer([&] {
-        try {
-            StreamingRecorder rec(ring);
-            out.result = engine.run(&rec);
-        } catch (...) {
-            err = std::current_exception();
-        }
-        ring.close();
-    });
-    drainStream(ring, out.trace);
-    producer.join();
-    if (err)
-        std::rethrow_exception(err);
-    for (std::size_t i = 0; i < out.trace.threads.size(); ++i)
-        out.trace.threads[i].insns = out.result.per_thread_steps[i];
-    return out;
 }
 
 } // namespace smtsim::fastpath

@@ -1,7 +1,6 @@
 /**
  * @file
- * Threaded-code functional engine (the fast half of the
- * functional-first pipeline, docs/PERF.md).
+ * Threaded-code functional engine (docs/PERF.md).
  *
  * FastEngine is a drop-in replacement for the reference
  * Interpreter: same constructor shape, same InterpConfig /
@@ -23,11 +22,6 @@
  *    elsewhere — with no scheduling, blocking or mapping checks,
  *  - memory accesses go through a one-entry page cache instead of
  *    MainMemory's hash lookup per access.
- *
- * run() optionally records an execution trace (exec_trace.hh): the
- * resolved outcome of every data-dependent control transfer, every
- * memory effective address and every queue push — exactly what
- * trace-driven replay of the timing models needs.
  */
 
 #ifndef SMTSIM_FASTPATH_ENGINE_HH
@@ -44,7 +38,6 @@
 #include "interp/interpreter.hh"
 #include "isa/insn.hh"
 #include "mem/memory.hh"
-#include "trace/exec_trace.hh"
 
 namespace smtsim::fastpath
 {
@@ -58,13 +51,12 @@ class FastEngine
                const InterpConfig &cfg = {});
 
     /**
-     * Run until all threads finish, optionally recording an
-     * execution trace through @p rec. Same contract as
+     * Run until all threads finish. Same contract as
      * Interpreter::run(): throws FatalError on an architectural
      * deadlock, reports budget exhaustion via
      * InterpResult::completed.
      */
-    InterpResult run(TraceRecorder *rec = nullptr);
+    InterpResult run();
 
     /** Architectural integer register of a thread (post-run). */
     std::uint32_t intReg(int thread, RegIndex idx) const;
@@ -119,12 +111,10 @@ class FastEngine
         Mapped      ///< QEN/QENF installed a queue mapping
     };
 
-    template <bool Traced>
-    ChunkExit runChunk(int tid, std::uint64_t &total,
-                       TraceRecorder *rec);
+    ChunkExit runChunk(int tid, std::uint64_t &total);
 
     /** One architectural step, faithful to Interpreter::step. */
-    bool stepGeneric(int tid, TraceRecorder *rec);
+    bool stepGeneric(int tid);
 
     /** The sole running thread if it is chunk-eligible (no queue
      *  mappings), else -1. */
@@ -139,10 +129,9 @@ class FastEngine
     bool readInt(Thread &t, int tid, RegIndex idx,
                  std::uint32_t &out);
     bool readFp(Thread &t, int tid, RegIndex idx, double &out);
-    bool writeInt(Thread &t, int tid, Addr pc, RegIndex idx,
-                  std::uint32_t value, TraceRecorder *rec);
-    bool writeFp(Thread &t, int tid, Addr pc, RegIndex idx,
-                 double value, TraceRecorder *rec);
+    bool writeInt(Thread &t, int tid, RegIndex idx,
+                  std::uint32_t value);
+    bool writeFp(Thread &t, int tid, RegIndex idx, double value);
 
     // Page-cached memory access (values identical to MainMemory's).
     std::uint8_t *readPage(Addr base);
@@ -170,27 +159,6 @@ class FastEngine
     Addr page_base_ = ~Addr{0};
     std::uint8_t *page_ = nullptr;
 };
-
-/** A recorded run: functional outcome + execution trace. */
-struct TracedRun
-{
-    InterpResult result;
-    ExecTrace trace;
-};
-
-/** Run the fast engine once, assembling the trace in memory. */
-TracedRun recordTrace(const Program &prog, MainMemory &mem,
-                      const InterpConfig &cfg = {});
-
-/**
- * Same result, produced pipeline-style: the engine runs on its own
- * host thread streaming records through a bounded SPSC ring
- * (trace/spsc.hh) while the calling thread assembles the trace —
- * the deployment shape of the functional-first pipeline, where the
- * consumer is a timing model.
- */
-TracedRun recordTraceStreaming(const Program &prog, MainMemory &mem,
-                               const InterpConfig &cfg = {});
 
 } // namespace smtsim::fastpath
 

@@ -10,7 +10,6 @@
 #include "interp/interpreter.hh"
 #include "machine/manycore.hh"
 #include "machine/manycore_json.hh"
-#include "machine/run_stats_json.hh"
 #include "mem/memory.hh"
 
 namespace smtsim::fuzz
@@ -371,66 +370,6 @@ checkPair(const Program &prog, const GenFeatures &features,
 }
 
 std::optional<Divergence>
-checkReplayTiming(const Program &prog, const GenFeatures &features,
-                  const OracleBudget &budget)
-{
-    (void)features;     // verified replay self-detects divergence
-    RunConfig cell;     // the cell being exercised, for reports
-    cell.engine = Engine::Core;
-    cell.slots = 4;
-
-    CoreConfig ccfg;
-    ccfg.num_slots = cell.slots;
-    ccfg.max_cycles = budget.max_cycles;
-
-    InterpConfig icfg;
-    icfg.num_threads = ccfg.num_slots;
-    icfg.queue_depth = ccfg.queue_reg_depth;
-    icfg.max_steps = budget.interp_max_steps;
-
-    try {
-        MainMemory fmem;
-        prog.loadInto(fmem);
-        const fastpath::TracedRun recorded =
-            fastpath::recordTrace(prog, fmem, icfg);
-        if (!recorded.result.completed)
-            return std::nullopt;    // budget-bound; nothing to time
-
-        MainMemory emem;
-        prog.loadInto(emem);
-        MultithreadedProcessor exec(prog, emem, ccfg);
-        const RunStats a = exec.run();
-
-        RunStats b;
-        try {
-            MainMemory rmem;
-            prog.loadInto(rmem);
-            MultithreadedProcessor rep(prog, rmem, ccfg);
-            rep.setReplayTrace(&recorded.trace);
-            b = rep.run();
-        } catch (const ReplayDivergence &) {
-            // Legitimately non-replayable (interleaving-dependent
-            // control flow); production code falls back to execute
-            // mode, so there is nothing to compare.
-            return std::nullopt;
-        }
-        const std::string ja = statsToJson(a).dump();
-        const std::string jb = statsToJson(b).dump();
-        if (ja != jb) {
-            return Divergence{
-                cell, cell,
-                "replay timing mismatch: execute " + ja +
-                    " vs replay " + jb};
-        }
-    } catch (const FatalError &) {
-        // Trapping programs are covered by the architectural grid;
-        // trap parity is checked there.
-    } catch (const PanicError &) {
-    }
-    return std::nullopt;
-}
-
-std::optional<Divergence>
 checkManyCoreDeterminism(const Program &prog,
                          const GenFeatures &features,
                          const OracleBudget &budget)
@@ -536,8 +475,6 @@ checkProgram(const Program &prog, const GenFeatures &features,
         if (!diff.empty())
             return Divergence{ref, cfg, diff};
     }
-    if (auto div = checkReplayTiming(prog, features, budget))
-        return div;
     return checkManyCoreDeterminism(prog, features, budget);
 }
 

@@ -137,19 +137,6 @@ std::optional<Divergence> checkPair(const Program &prog,
                                     const OracleBudget &budget = {});
 
 /**
- * Functional-first timing check: record the program's execution
- * trace with the fast engine, then run the detailed core once in
- * execute mode and once in verified replay mode and diff the full
- * statistics dumps — cycles, per-unit busy counters, everything.
- * A replay that diverges from the recording falls back to execute
- * mode (still compared, trivially equal); a *stats* mismatch means
- * replay changed timing and is reported as a divergence.
- */
-std::optional<Divergence> checkReplayTiming(
-    const Program &prog, const GenFeatures &features,
-    const OracleBudget &budget = {});
-
-/**
  * Many-core determinism check: run the program on a 2-core machine
  * (each core a full multithreaded processor, coupled through the
  * shared word table as interconnect-resolved remote memory) once on
@@ -164,8 +151,8 @@ std::optional<Divergence> checkManyCoreDeterminism(
     const Program &prog, const GenFeatures &features,
     const OracleBudget &budget = {});
 
-/** Run the whole grid (plus the replay timing check); first
- *  divergence wins. */
+/** Run the whole grid (plus the many-core determinism check);
+ *  first divergence wins. */
 std::optional<Divergence> checkProgram(const Program &prog,
                                        const GenFeatures &features,
                                        const OracleBudget &budget = {});

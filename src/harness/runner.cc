@@ -138,69 +138,6 @@ runFast(const Workload &workload, int num_threads)
     return out;
 }
 
-Outcome
-runCoreReplay(const Workload &workload, const CoreConfig &cfg,
-              bool *replayed)
-{
-    if (replayed)
-        *replayed = false;
-
-    // Functional pass: execute once with the fast engine, verify
-    // the outputs, keep the trace.
-    MainMemory fmem;
-    workload.program.loadInto(fmem);
-    if (workload.init)
-        workload.init(fmem);
-    InterpConfig icfg;
-    icfg.num_threads = cfg.num_slots;
-    icfg.queue_depth = cfg.queue_reg_depth;
-    const fastpath::TracedRun recorded =
-        fastpath::recordTrace(workload.program, fmem, icfg);
-
-    Outcome out;
-    if (!recorded.result.completed) {
-        out.error = workload.name + ": fast engine did not finish";
-        return out;
-    }
-    if (!verify(workload, fmem, &out.error))
-        return out;
-
-    return timeCoreFromTrace(workload, cfg, recorded.trace,
-                             replayed);
-}
-
-Outcome
-timeCoreFromTrace(const Workload &workload, const CoreConfig &cfg,
-                  const ExecTrace &trace, bool *replayed)
-{
-    if (replayed)
-        *replayed = false;
-    // Verified replay: execution is checked against the trace
-    // decision by decision, so the outputs need no second
-    // verification here.
-    try {
-        MainMemory tmem;
-        workload.program.loadInto(tmem);
-        if (workload.init)
-            workload.init(tmem);
-        MultithreadedProcessor cpu(workload.program, tmem, cfg);
-        cpu.setReplayTrace(&trace);
-        Outcome out;
-        out.stats = cpu.run();
-        if (!out.stats.finished) {
-            out.ok = false;
-            out.error = workload.name + ": cycle budget exhausted";
-            return out;
-        }
-        out.ok = true;
-        if (replayed)
-            *replayed = true;
-        return out;
-    } catch (const ReplayDivergence &) {
-        return runCore(workload, cfg);
-    }
-}
-
 double
 speedup(const RunStats &baseline, const RunStats &core)
 {

@@ -136,8 +136,7 @@ bool
 Interpreter::step(int tid)
 {
     Thread &t = threads_[tid];
-    const Addr insn_pc = t.pc;
-    const Insn &insn = text_.at(insn_pc);
+    const Insn &insn = text_.at(t.pc);
     const Op op = insn.op;
 
     // --- Blocking pre-checks -------------------------------------
@@ -393,8 +392,6 @@ Interpreter::step(int tid)
     if (t.state == ThreadState::Running)
         t.pc = next_pc;
     ++t.steps;
-    if (trace_hook_)
-        trace_hook_(tid, insn_pc, insn);
     return true;
 }
 

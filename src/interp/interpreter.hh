@@ -15,7 +15,6 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -63,11 +62,6 @@ class Interpreter
     std::uint32_t intReg(int thread, RegIndex idx) const;
     /** Architectural FP register of a thread (post-run). */
     double fpReg(int thread, RegIndex idx) const;
-
-    /** Called after each executed instruction (trace recording). */
-    using TraceHook =
-        std::function<void(int tid, Addr pc, const Insn &insn)>;
-    void setTraceHook(TraceHook hook) { trace_hook_ = std::move(hook); }
 
   private:
     enum class ThreadState
@@ -123,7 +117,6 @@ class Interpreter
     std::vector<std::deque<std::uint64_t>> queues_;
     /** Priority ring, highest priority first (alive threads only). */
     std::vector<int> ring_;
-    TraceHook trace_hook_;
 };
 
 } // namespace smtsim

@@ -201,17 +201,6 @@ struct ExperimentSpec
     BaselineConfig baseline_template;
 
     /**
-     * Functional-first execution (docs/PERF.md): record each
-     * workload's execution trace once with the fast engine, verify
-     * its outputs once, then time every core grid cell in verified
-     * replay mode. Results are bit-identical to an execute-mode
-     * sweep (cells whose control flow is interleaving-dependent
-     * fall back to execute mode automatically), so expand() — and
-     * therefore every cache key — is unaffected by this flag.
-     */
-    bool replay = false;
-
-    /**
      * Flatten the grid into jobs, ids like
      * "raytrace/s4/f4/ls2/w1/sb/r8" (axes with one value are still
      * spelled out — ids stay stable when an axis grows). Machine

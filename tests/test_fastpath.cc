@@ -3,9 +3,8 @@
  * FastEngine vs Interpreter bit-equality: the threaded-code engine
  * must be indistinguishable from the golden model — step counts,
  * per-thread counts, registers, memory, completion and error
- * behaviour — across every workload class, with and without trace
- * recording. (The fuzzer's `fast` differential cells extend this to
- * randomized programs.)
+ * behaviour — across every workload class. (The fuzzer's `fast`
+ * differential cells extend this to randomized programs.)
  */
 
 #include <gtest/gtest.h>
@@ -25,8 +24,8 @@ namespace
 {
 
 /** Run @p w on both functional engines and require bit-identical
- *  architectural outcomes. Returns the recorded trace. */
-ExecTrace
+ *  architectural outcomes. */
+void
 expectBitIdentical(const Workload &w, int num_threads,
                    bool check_outputs = true)
 {
@@ -44,9 +43,8 @@ expectBitIdentical(const Workload &w, int num_threads,
     w.program.loadInto(fm);
     if (w.init)
         w.init(fm);
-    const fastpath::TracedRun traced =
-        fastpath::recordTrace(w.program, fm, cfg);
-    const InterpResult &fr = traced.result;
+    fastpath::FastEngine fast(w.program, fm, cfg);
+    const InterpResult fr = fast.run();
 
     EXPECT_EQ(fr.completed, ir.completed) << w.name;
     EXPECT_EQ(fr.steps, ir.steps) << w.name;
@@ -57,26 +55,13 @@ expectBitIdentical(const Workload &w, int num_threads,
         std::string why;
         EXPECT_TRUE(w.check(fm, &why)) << w.name << ": " << why;
     }
-
-    // Untraced run: recording must not change architectural
-    // behaviour (it takes a different dispatch specialization).
-    MainMemory um;
-    w.program.loadInto(um);
-    if (w.init)
-        w.init(um);
-    fastpath::FastEngine plain(w.program, um, cfg);
-    const InterpResult ur = plain.run();
-    EXPECT_EQ(ur.steps, ir.steps) << w.name << " untraced";
-    EXPECT_TRUE(um.pages() == im.pages())
-        << w.name << " untraced memory";
     for (int t = 0; t < num_threads; ++t) {
         for (int r = 0; r < kNumRegs; ++r) {
-            EXPECT_EQ(plain.intReg(t, static_cast<RegIndex>(r)),
+            EXPECT_EQ(fast.intReg(t, static_cast<RegIndex>(r)),
                       interp.intReg(t, static_cast<RegIndex>(r)))
                 << w.name << " t" << t << " r" << r;
         }
     }
-    return traced.trace;
 }
 
 } // namespace
@@ -167,52 +152,6 @@ TEST(Fastpath, SyntheticKernelsBitIdentical)
         wpar.program = makeSyntheticKernel(pp);
         expectBitIdentical(wpar, 4, false);
     }
-}
-
-TEST(Fastpath, StreamingTraceMatchesInMemoryTrace)
-{
-    MatmulParams mp;
-    mp.n = 5;
-    const Workload w = makeMatmul(mp);
-    InterpConfig cfg;
-    cfg.num_threads = 4;
-
-    MainMemory m1;
-    w.program.loadInto(m1);
-    if (w.init)
-        w.init(m1);
-    const fastpath::TracedRun direct =
-        fastpath::recordTrace(w.program, m1, cfg);
-
-    MainMemory m2;
-    w.program.loadInto(m2);
-    if (w.init)
-        w.init(m2);
-    const fastpath::TracedRun streamed =
-        fastpath::recordTraceStreaming(w.program, m2, cfg);
-
-    EXPECT_EQ(streamed.trace, direct.trace);
-    EXPECT_EQ(streamed.result.steps, direct.result.steps);
-}
-
-TEST(Fastpath, RecordedTraceRoundTripsThroughSmttrc1)
-{
-    BsearchParams bp;
-    bp.table_size = 32;
-    bp.queries_per_thread = 8;
-    const Workload w = makeBsearch(bp);
-    MainMemory mem;
-    w.program.loadInto(mem);
-    if (w.init)
-        w.init(mem);
-    InterpConfig cfg;
-    cfg.num_threads = 2;
-    const fastpath::TracedRun traced =
-        fastpath::recordTrace(w.program, mem, cfg);
-
-    std::stringstream ss;
-    traced.trace.save(ss);
-    EXPECT_EQ(ExecTrace::load(ss), traced.trace);
 }
 
 TEST(Fastpath, StrayFetchTrapsLikeInterpreter)

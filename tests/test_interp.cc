@@ -293,24 +293,3 @@ TEST(Interp, QenValidation)
     EXPECT_THROW(runInterpAsm("main: qen r5, r5\nhalt\n", 1),
                  FatalError);
 }
-
-TEST(Interp, TraceHookSeesEveryInstruction)
-{
-    Machine m(R"(
-main:   addi r1, r0, 2
-loop:   addi r1, r1, -1
-        bgtz r1, loop
-        halt
-)");
-    Interpreter interp(m.prog, m.mem);
-    std::vector<Addr> pcs;
-    interp.setTraceHook([&](int, Addr pc, const Insn &) {
-        pcs.push_back(pc);
-    });
-    const auto r = interp.run();
-    EXPECT_EQ(pcs.size(), r.steps);
-    ASSERT_EQ(pcs.size(), 6u);
-    EXPECT_EQ(pcs[0], m.prog.entry);
-    EXPECT_EQ(pcs[1], m.prog.entry + 4);   // first loop iteration
-    EXPECT_EQ(pcs[3], m.prog.entry + 4);   // second loop iteration
-}

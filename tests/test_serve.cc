@@ -183,6 +183,11 @@ TEST(ServeProtocol, UnknownSpecMemberIsRejected)
     Json j = experimentSpecToJson(smallSpec());
     j.set("gpu_count", Json(4));
     EXPECT_THROW(experimentSpecFromJson(j), JsonParseError);
+
+    // A removed member is unknown too, not silently ignored.
+    j = experimentSpecToJson(smallSpec());
+    j.set("replay", Json(true));
+    EXPECT_THROW(experimentSpecFromJson(j), JsonParseError);
 }
 
 TEST(ServeProtocol, ImpossibleGridsAreParseErrors)

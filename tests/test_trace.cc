@@ -1,102 +1,10 @@
-#include <sstream>
-
 #include <gtest/gtest.h>
 
-#include "harness/runner.hh"
+#include "baseline/baseline.hh"
 #include "core/processor.hh"
-#include "interp/interpreter.hh"
 #include "trace/synth.hh"
-#include "trace/trace.hh"
 
 using namespace smtsim;
-
-TEST(TraceTest, RecordsEveryInstruction)
-{
-    SynthParams p;
-    p.seed = 3;
-    p.iterations = 8;
-    p.parallel = false;
-    const Program prog = makeSyntheticKernel(p);
-
-    MainMemory mem;
-    prog.loadInto(mem);
-    const Trace trace = recordTrace(prog, mem, 1);
-
-    MainMemory mem2;
-    prog.loadInto(mem2);
-    Interpreter interp(prog, mem2);
-    EXPECT_EQ(trace.size(), interp.run().steps);
-}
-
-TEST(TraceTest, SaveLoadRoundTrip)
-{
-    SynthParams p;
-    p.seed = 4;
-    p.iterations = 4;
-    p.parallel = false;
-    const Program prog = makeSyntheticKernel(p);
-    MainMemory mem;
-    prog.loadInto(mem);
-    const Trace trace = recordTrace(prog, mem, 1);
-
-    std::stringstream buf;
-    trace.save(buf);
-    const Trace loaded = Trace::load(buf);
-    ASSERT_EQ(loaded.size(), trace.size());
-    for (size_t i = 0; i < trace.size(); ++i) {
-        EXPECT_EQ(loaded.records()[i].pc, trace.records()[i].pc);
-        EXPECT_EQ(loaded.records()[i].word,
-                  trace.records()[i].word);
-        EXPECT_EQ(loaded.records()[i].tid, trace.records()[i].tid);
-    }
-}
-
-TEST(TraceTest, TruncatedLoadFails)
-{
-    std::stringstream buf;
-    buf.write("\x05\x00\x00", 3);
-    EXPECT_THROW(Trace::load(buf), FatalError);
-}
-
-TEST(TraceTest, MixSumsToTotal)
-{
-    SynthParams p;
-    p.seed = 9;
-    p.iterations = 16;
-    p.parallel = true;
-    const Program prog = makeSyntheticKernel(p);
-    MainMemory mem;
-    prog.loadInto(mem);
-    const Trace trace = recordTrace(prog, mem, 4);
-
-    const InstructionMix mix = analyzeMix(trace);
-    EXPECT_EQ(mix.total, trace.size());
-    std::uint64_t sum = mix.branches + mix.thread_ctl;
-    for (int c = 0; c < kNumFuClasses; ++c)
-        sum += mix.by_class[c];
-    EXPECT_EQ(sum, mix.total);
-    EXPECT_GT(mix.fraction(FuClass::IntAlu), 0.0);
-    EXPECT_GT(mix.fraction(FuClass::LoadStore), 0.0);
-}
-
-TEST(TraceTest, MultithreadTraceTagsThreads)
-{
-    SynthParams p;
-    p.seed = 10;
-    p.iterations = 4;
-    p.parallel = true;
-    const Program prog = makeSyntheticKernel(p);
-    MainMemory mem;
-    prog.loadInto(mem);
-    const Trace trace = recordTrace(prog, mem, 3);
-
-    bool seen[3] = {false, false, false};
-    for (const TraceRecord &r : trace.records()) {
-        ASSERT_LT(r.tid, 3);
-        seen[r.tid] = true;
-    }
-    EXPECT_TRUE(seen[0] && seen[1] && seen[2]);
-}
 
 TEST(SynthTest, DeterministicInSeed)
 {
@@ -124,10 +32,16 @@ TEST(SynthTest, MixWeightsSteerGeneration)
     const Program prog = makeSyntheticKernel(fp_heavy);
     MainMemory mem;
     prog.loadInto(mem);
-    const InstructionMix mix = analyzeMix(recordTrace(prog, mem));
-    EXPECT_GT(mix.fraction(FuClass::FpAdd) +
-                  mix.fraction(FuClass::FpMul),
-              mix.fraction(FuClass::IntAlu));
+    // Each executed instruction that needs a functional unit takes
+    // one grant, so the per-class grant counts are the dynamic mix.
+    BaselineProcessor cpu(prog, mem);
+    const RunStats stats = cpu.run();
+    ASSERT_TRUE(stats.finished);
+    const auto grants = [&](FuClass c) {
+        return stats.fu_grants[static_cast<int>(c)];
+    };
+    EXPECT_GT(grants(FuClass::FpAdd) + grants(FuClass::FpMul),
+              grants(FuClass::IntAlu));
 }
 
 TEST(SynthTest, RunsOnAllEngines)
