@@ -3,6 +3,11 @@
 # BENCH_simspeed.json (google-benchmark JSON, incl. cycles/s and
 # MIPS counters per engine config).
 #
+# Every config runs 5 times, randomly interleaved with the others,
+# and the JSON holds each repetition plus its _mean/_median/_stddev
+# aggregate rows. Read the _median rows: back-to-back single runs on
+# a shared host differ by up to ~30%.
+#
 # The build must be a Release build: the script refuses any other
 # CMAKE_BUILD_TYPE (numbers from debug-ish builds are not
 # comparable and must never land in BENCH_simspeed.json), and it
@@ -14,9 +19,9 @@
 #    sink detached) must stay within SMTSIM_BENCH_TRACE_PCT percent
 #    (default 2) of the plain BM_Core/4 row from the same run
 #    (docs/OBSERVABILITY.md);
-#  - fast-engine speedup: BM_Fastpath must reach at least
-#    SMTSIM_BENCH_FAST_X times (default 3) the MIPS of
-#    BM_Interpreter on the same kernel (docs/PERF.md).
+#  - fast-engine speedup: the BM_Fastpath median must reach at
+#    least SMTSIM_BENCH_FAST_X times (default 3) the BM_Interpreter
+#    median MIPS on the same kernel (docs/PERF.md).
 #
 # Usage: scripts/bench_simspeed.sh [build-dir] [out.json]
 #   SMTSIM_BENCH_MIN_TIME   benchmark_min_time seconds (default 0.5;
@@ -45,6 +50,9 @@ bench_require_release "$build" bench_simspeed simulator-throughput
 
 "$build/bench/bench_simspeed" \
     --benchmark_min_time="$min_time" \
+    --benchmark_repetitions=5 \
+    --benchmark_enable_random_interleaving=true \
+    --benchmark_display_aggregates_only=true \
     --benchmark_out="$out" \
     --benchmark_out_format=json \
     "$(bench_stamp_flag)"
@@ -56,8 +64,8 @@ echo "wrote $out" >&2
 if [ "$fast_x" = "skip" ]; then
     echo "fastpath speedup guard skipped" >&2
 else
-    # Same kernel, same MIPS definition, same run — the ratio is the
-    # fast engine's headline number (docs/PERF.md).
+    # Same kernel, same MIPS definition, same run — the ratio of the
+    # medians is the fast engine's headline number (docs/PERF.md).
     python3 - "$out" "$fast_x" <<'EOF'
 import json
 import sys
@@ -65,13 +73,13 @@ import sys
 out, need = sys.argv[1], float(sys.argv[2])
 rows = {b["name"]: b for b in json.load(open(out))["benchmarks"]}
 try:
-    interp = rows["BM_Interpreter"]["MIPS"]
-    fast = rows["BM_Fastpath"]["MIPS"]
+    interp = rows["BM_Interpreter_median"]["MIPS"]
+    fast = rows["BM_Fastpath_median"]["MIPS"]
 except KeyError as missing:
     sys.exit(f"bench guard: row {missing} missing from {out}")
 ratio = fast / interp
 print(f"fast engine: {fast:.1f} MIPS vs interpreter {interp:.1f} "
-      f"MIPS ({ratio:.2f}x)", file=sys.stderr)
+      f"MIPS ({ratio:.2f}x, medians of 5)", file=sys.stderr)
 if ratio < need:
     sys.exit(f"bench guard: fast-engine speedup {ratio:.2f}x is "
              f"below the required {need:.1f}x over BM_Interpreter")

@@ -52,7 +52,10 @@ Insn
 readInsn(obs::ByteReader &r)
 {
     Insn insn;
-    insn.op = static_cast<Op>(r.u16());
+    const std::uint16_t op = r.u16();
+    if (op >= kNumOps)
+        fail("bad opcode");
+    insn.op = static_cast<Op>(op);
     insn.rd = r.u8();
     insn.rs = r.u8();
     insn.rt = r.u8();
@@ -310,9 +313,11 @@ MultithreadedProcessor::saveCheckpoint(std::ostream &os) const
     for (const Slot &slot : slots_) {
         w.i32(slot.frame);
         w.b(slot.trap_pending);
-        w.u32(static_cast<std::uint32_t>(slot.iqueue.size()));
-        for (Addr a : slot.iqueue)
-            w.u32(a);
+        // The queue is a contiguous run; the format keeps the
+        // explicit address list.
+        w.u32(static_cast<std::uint32_t>(slot.iq_count));
+        for (int i = 0; i < slot.iq_count; ++i)
+            w.u32(slot.iq_head + static_cast<Addr>(i) * kInsnBytes);
         w.u32(slot.fetch_addr);
         w.b(slot.fetch_inflight);
         w.u32(static_cast<std::uint32_t>(slot.window.size()));
@@ -450,20 +455,27 @@ MultithreadedProcessor::restoreCheckpoint(std::istream &is)
     for (Slot &slot : slots_) {
         slot.frame = r.i32();
         slot.trap_pending = r.b();
-        slot.iqueue.clear();
         const std::uint32_t niq = r.u32();
-        for (std::uint32_t i = 0; i < niq; ++i)
-            slot.iqueue.push_back(r.u32());
+        if (niq > static_cast<std::uint32_t>(cfg_.iqueueWords()))
+            fail("instruction queue over capacity");
+        slot.iq_head = 0;
+        slot.iq_count = static_cast<int>(niq);
+        for (std::uint32_t i = 0; i < niq; ++i) {
+            const Addr a = r.u32();
+            if (i == 0)
+                slot.iq_head = a;
+            else if (a != slot.iq_head + i * kInsnBytes)
+                fail("instruction queue not contiguous (corrupt)");
+        }
         slot.fetch_addr = r.u32();
         slot.fetch_inflight = r.b();
         slot.window.clear();
         const std::uint32_t nwin = r.u32();
         for (std::uint32_t i = 0; i < nwin; ++i) {
-            WindowEntry e;
-            e.insn = readInsn(r);
-            e.pc = r.u32();
-            e.replay = r.b();
-            slot.window.push_back(e);
+            const Insn insn = readInsn(r);
+            const Addr pc = r.u32();
+            const bool replay = r.b();
+            slot.window.push_back(makeEntry(insn, pc, replay));
         }
         slot.d2_allowed = r.u64();
         for (Cycle &c : slot.isb)
@@ -479,7 +491,6 @@ MultithreadedProcessor::restoreCheckpoint(std::istream &is)
             bin.at = r.u64();
             bin.count = r.i32();
         }
-        slot.decode_done.clear();   // per-cycle scratch
     }
 
     // --- fetch engine --------------------------------------------
@@ -493,6 +504,8 @@ MultithreadedProcessor::restoreCheckpoint(std::istream &is)
         for (std::uint32_t i = 0; i < nops; ++i) {
             FetchOp op;
             op.slot = r.i32();
+            if (op.slot < 0 || op.slot >= cfg_.num_slots)
+                fail("bad fetch slot");
             op.addr = r.u32();
             op.words = r.i32();
             op.redirect = r.b();
@@ -500,6 +513,19 @@ MultithreadedProcessor::restoreCheckpoint(std::istream &is)
             port.inflight.push_back(op);
         }
         port.rr_next = r.i32();
+        if (port.rr_next < 0 || port.rr_next >= cfg_.num_slots)
+            fail("bad fetch round-robin pointer");
+        // A block in flight continues its slot's queued run.
+        for (const FetchOp &op : port.inflight) {
+            const Slot &slot = slots_[op.slot];
+            if (slot.iq_count > 0 &&
+                op.addr != slot.iq_head + static_cast<Addr>(
+                                              slot.iq_count) *
+                                              kInsnBytes) {
+                fail("fetch block not contiguous with its "
+                     "instruction queue (corrupt)");
+            }
+        }
     }
 
     // --- schedule units + queue ring -----------------------------
@@ -533,6 +559,7 @@ MultithreadedProcessor::restoreCheckpoint(std::istream &is)
     rotation_interval_ = r.i32();
     last_activity_ = r.u64();
     now_ = r.u64();
+    resetRotationClock(now_ + 1);
     finished_ = r.b();
     ready_fifo_.clear();
     const std::uint32_t nready = r.u32();

@@ -50,10 +50,18 @@ MultithreadedProcessor::MultithreadedProcessor(const Program &prog,
                   "need at least one frame per slot");
     SMTSIM_ASSERT(cfg_.width >= 1, "width must be positive");
 
+    records_.reserve(text_.size());
+    for (std::size_t i = 0; i < text_.size(); ++i) {
+        const Addr a =
+            prog_.text_base + static_cast<Addr>(i) * kInsnBytes;
+        records_.push_back(makeEntry(text_.at(a), a, false));
+    }
+
     contexts_.resize(cfg_.frames());
     slots_.resize(cfg_.num_slots);
     for (int s = 0; s < cfg_.num_slots; ++s)
         ring_.push_back(s);
+    resetRotationClock(now_ + 1);
 
     for (int cls = 0; cls < kNumFuClasses; ++cls) {
         const FuClass fc = static_cast<FuClass>(cls);
@@ -75,6 +83,22 @@ MultithreadedProcessor::MultithreadedProcessor(const Program &prog,
     contexts_[0].state = CtxState::Ready;
     contexts_[0].resume_pc = prog_.entry;
     bindContext(0, 0, 0);
+}
+
+MultithreadedProcessor::WindowEntry
+MultithreadedProcessor::makeEntry(const Insn &insn, Addr pc,
+                                  bool replay)
+{
+    WindowEntry e;
+    e.insn = insn;
+    e.pc = pc;
+    e.replay = replay;
+    e.control = insn.isBranch() || insn.isThreadCtl();
+    e.mem = insn.isMem();
+    e.fu = insn.fu();
+    e.nsrcs = static_cast<std::uint8_t>(insn.srcs(e.srcs));
+    e.dst = insn.dst();
+    return e;
 }
 
 void
@@ -182,6 +206,18 @@ MultithreadedProcessor::rotateRing()
     }
 }
 
+void
+MultithreadedProcessor::resetRotationClock(Cycle from)
+{
+    if (rotation_mode_ != RotationMode::Implicit ||
+        rotation_interval_ <= 0) {
+        next_rotation_ = kNeverCycle;
+        return;
+    }
+    const Cycle ival = static_cast<Cycle>(rotation_interval_);
+    next_rotation_ = (from + ival - 1) / ival * ival;
+}
+
 // ---------------------------------------------------------------
 // Scoreboard
 // ---------------------------------------------------------------
@@ -209,17 +245,16 @@ MultithreadedProcessor::sbOf(const Slot &slot, RegRef ref) const
 }
 
 bool
-MultithreadedProcessor::operandsReady(const Slot &slot,
+MultithreadedProcessor::operandsReady(int slot_id,
                                       const Context &ctx,
-                                      const Insn &insn, Cycle c,
-                                      std::uint32_t pw_int,
+                                      const WindowEntry &entry,
+                                      Cycle c, std::uint32_t pw_int,
                                       std::uint32_t pw_fp) const
 {
-    RegRef srcs[3];
-    const int n = insn.srcs(srcs);
+    const Slot &slot = slots_[slot_id];
     int pops = 0;
-    for (int i = 0; i < n; ++i) {
-        const RegRef &src = srcs[i];
+    for (int i = 0; i < entry.nsrcs; ++i) {
+        const RegRef &src = entry.srcs[i];
         const bool mapped =
             (src.file == RF::Int && ctx.q_read_int &&
              *ctx.q_read_int == src.idx) ||
@@ -236,19 +271,16 @@ MultithreadedProcessor::operandsReady(const Slot &slot,
     }
     // The slot that issued this instruction is the consumer side of
     // its incoming queue link.
-    int slot_id = static_cast<int>(&slot - slots_.data());
     return pops == 0 || ring_regs_.canPop(slot_id, pops);
 }
 
 int
 MultithreadedProcessor::queuePopCount(const Context &ctx,
-                                      const Insn &insn) const
+                                      const WindowEntry &entry) const
 {
-    RegRef srcs[3];
-    const int n = insn.srcs(srcs);
     int pops = 0;
-    for (int i = 0; i < n; ++i) {
-        const RegRef &src = srcs[i];
+    for (int i = 0; i < entry.nsrcs; ++i) {
+        const RegRef &src = entry.srcs[i];
         if ((src.file == RF::Int && ctx.q_read_int &&
              *ctx.q_read_int == src.idx) ||
             (src.file == RF::Fp && ctx.q_read_fp &&
@@ -426,23 +458,28 @@ MultithreadedProcessor::fetchPhase(Cycle c)
     for (size_t pi = 0; pi < ports_.size(); ++pi) {
         FetchPort &port = ports_[pi];
 
-        // Deliveries.
-        for (auto it = port.inflight.begin();
-             it != port.inflight.end();) {
-            if (it->done_at > c) {
-                ++it;
-                continue;
-            }
+        // Deliveries. A block starts no earlier than the port frees
+        // up, so completion times rise along inflight and the due
+        // blocks are a prefix.
+        auto it = port.inflight.begin();
+        for (; it != port.inflight.end() && it->done_at <= c; ++it) {
             Slot &slot = slots_[it->slot];
             if (slot.frame >= 0 && !slot.trap_pending) {
-                int space = cfg_.iqueueWords() -
-                            static_cast<int>(slot.iqueue.size());
-                int n = std::min(space, it->words);
-                for (int k = 0; k < n; ++k) {
-                    const Addr a =
-                        it->addr + static_cast<Addr>(k) * kInsnBytes;
-                    if (a < end)
-                        slot.iqueue.push_back(a);
+                const int n = std::min(
+                    cfg_.iqueueWords() - slot.iq_count, it->words);
+                if (n > 0) {
+                    // Fetch blocks never extend past the text end,
+                    // and each one starts where the queued run ends.
+                    if (slot.iq_count == 0)
+                        slot.iq_head = it->addr;
+                    SMTSIM_ASSERT(
+                        slot.iq_head +
+                                static_cast<Addr>(slot.iq_count) *
+                                    kInsnBytes ==
+                            it->addr,
+                        "fetch delivery not contiguous with the "
+                        "instruction queue");
+                    slot.iq_count += n;
                 }
                 if (sink_ && n > 0) {
                     obs::Event ev;
@@ -454,35 +491,36 @@ MultithreadedProcessor::fetchPhase(Cycle c)
                     sink_->event(ev);
                 }
                 // Words that did not fit are refetched: the stream
-                // position rewinds to the first undelivered word.
-                if (n < it->words && !it->redirect) {
+                // position rewinds to the first undelivered word
+                // (a redirect block included: a queue smaller than
+                // a fetch block must not drop its tail).
+                if (n < it->words) {
                     slot.fetch_addr =
                         it->addr + static_cast<Addr>(n) * kInsnBytes;
                 }
             }
             slots_[it->slot].fetch_inflight = false;
-            it = port.inflight.erase(it);
         }
+        port.inflight.erase(port.inflight.begin(), it);
 
         // Start a new fetch if the port is idle.
         if (port.free_at > c)
             continue;
+        // Round-robin from rr_next. A shared fetch unit serves
+        // every slot; a private one only its own.
         const int num_slots = cfg_.num_slots;
-        for (int k = 0; k < num_slots; ++k) {
-            const int s = (port.rr_next + k) % num_slots;
+        int s = port.rr_next;
+        for (int k = 0; k < num_slots;
+             ++k, s = s + 1 == num_slots ? 0 : s + 1) {
             if (cfg_.private_icache && s != static_cast<int>(pi))
-                continue;
-            if (!cfg_.private_icache && &portOf(s) != &port)
                 continue;
             Slot &slot = slots_[s];
             if (slot.frame < 0 || slot.trap_pending ||
                 slot.fetch_inflight) {
                 continue;
             }
-            const int space =
-                cfg_.iqueueWords() -
-                static_cast<int>(slot.iqueue.size());
-            if (space <= 0 || slot.fetch_addr >= end)
+            if (slot.iq_count >= cfg_.iqueueWords() ||
+                slot.fetch_addr >= end)
                 continue;
 
             FetchOp op;
@@ -501,7 +539,7 @@ MultithreadedProcessor::fetchPhase(Cycle c)
             port.inflight.push_back(op);
             slot.fetch_inflight = true;
             port.free_at = op.done_at;
-            port.rr_next = (s + 1) % num_slots;
+            port.rr_next = s + 1 == num_slots ? 0 : s + 1;
             break;
         }
     }
@@ -515,7 +553,7 @@ void
 MultithreadedProcessor::flushFrontEnd(int slot_id)
 {
     Slot &slot = slots_[slot_id];
-    slot.iqueue.clear();
+    slot.iq_count = 0;
     slot.window.clear();
     cancelFetches(slot_id);
 }
@@ -529,7 +567,7 @@ MultithreadedProcessor::bindContext(int frame, int slot_id, Cycle c)
 
     slot.frame = frame;
     slot.trap_pending = false;
-    slot.iqueue.clear();
+    slot.iq_count = 0;
     slot.window.clear();
     slot.isb.fill(0);
     slot.fsb.fill(0);
@@ -543,7 +581,7 @@ MultithreadedProcessor::bindContext(int frame, int slot_id, Cycle c)
 
     // Access-requirement-buffer entries are re-decoded first.
     for (const ReplayEntry &e : ctx.replay)
-        slot.window.push_back(WindowEntry{e.insn, e.pc, true});
+        slot.window.push_back(makeEntry(e.insn, e.pc, true));
     ctx.replay.clear();
 
     if (sink_) {
@@ -586,8 +624,8 @@ MultithreadedProcessor::nextUnissuedPc(int slot_id) const
     const Slot &slot = slots_[slot_id];
     if (!slot.window.empty())
         return slot.window.front().pc;
-    if (!slot.iqueue.empty())
-        return slot.iqueue.front();
+    if (slot.iq_count > 0)
+        return slot.iq_head;
     // fetch_addr has already advanced past any in-flight fetch
     // block; resuming there would skip the block's instructions
     // once the switch-out cancels the fetch.
@@ -656,6 +694,7 @@ MultithreadedProcessor::writeResult(int slot_id, const IssuedOp &op,
     Slot &slot = slots_[slot_id];
     Context &ctx = ctxOf(slot_id);
 
+    const RegRef dst = op.insn.dst();
     if (op.queue_write) {
         PendingPush push;
         push.at = clear_at;
@@ -663,11 +702,9 @@ MultithreadedProcessor::writeResult(int slot_id, const IssuedOp &op,
         push.value = is_fp ? std::bit_cast<std::uint64_t>(fval)
                            : std::uint64_t{ival};
         pending_pushes_.push_back(push);
-    } else if (op.insn.dst().file == RF::Int &&
-               op.insn.dst().idx == 0) {
+    } else if (dst.file == RF::Int && dst.idx == 0) {
         // Writes to r0 vanish; no write port needed.
     } else {
-        const RegRef dst = op.insn.dst();
         SMTSIM_ASSERT(dst.valid(), "writeResult without destination");
         if (dst.file == RF::Fp)
             ctx.fregs[dst.idx] = fval;
@@ -875,11 +912,15 @@ void
 MultithreadedProcessor::contextPhase(Cycle c)
 {
     // Remote accesses that completed make their contexts ready.
-    for (int f = 0; f < cfg_.frames(); ++f) {
-        Context &ctx = contexts_[f];
-        if (ctx.state == CtxState::WaitRemote && ctx.ready_at <= c) {
-            ctx.state = CtxState::Ready;
-            ready_fifo_.push_back(f);
+    // Only a remote region can park a context.
+    if (cfg_.remote.size > 0) {
+        for (int f = 0; f < cfg_.frames(); ++f) {
+            Context &ctx = contexts_[f];
+            if (ctx.state == CtxState::WaitRemote &&
+                ctx.ready_at <= c) {
+                ctx.state = CtxState::Ready;
+                ready_fifo_.push_back(f);
+            }
         }
     }
 
@@ -893,6 +934,8 @@ MultithreadedProcessor::contextPhase(Cycle c)
     }
 
     // Bind ready contexts to free slots, FIFO.
+    if (ready_fifo_.empty())
+        return;
     for (int s = 0; s < cfg_.num_slots; ++s) {
         if (slots_[s].frame >= 0)
             continue;
@@ -924,7 +967,7 @@ MultithreadedProcessor::handleControl(int slot_id,
     const Insn &insn = entry.insn;
 
     if (insn.isBranch()) {
-        if (!operandsReady(slot, ctx, insn, c, 0, 0)) {
+        if (!operandsReady(slot_id, ctx, entry, c, 0, 0)) {
             ++*stall_branch_operands_;
             return ControlOutcome::Blocked;
         }
@@ -1068,7 +1111,7 @@ MultithreadedProcessor::handleControl(int slot_id,
         break;
       case Op::TID:
       case Op::NSLOT: {
-        const RegRef dst = insn.dst();
+        const RegRef dst = entry.dst;
         if (sbOf(slot, dst) > c) {
             ++*stall_waw_;
             return ControlOutcome::Blocked;
@@ -1105,6 +1148,8 @@ MultithreadedProcessor::handleControl(int slot_id,
                                       : RotationMode::Implicit;
         if (insn.imm > 0)
             rotation_interval_ = insn.imm;
+        // This cycle's rotation phase already sees the new mode.
+        resetRotationClock(c);
         break;
       default:
         panic("handleControl: unexpected op ",
@@ -1139,20 +1184,19 @@ MultithreadedProcessor::decodeSlot(int slot_id, Cycle c)
         bool flushed = false;
         std::uint32_t pr_int = 0, pr_fp = 0;
         std::uint32_t pw_int = 0, pw_fp = 0;
-        // assign() reuses the slot's scratch capacity: no heap
-        // allocation on the per-cycle path after warm-up.
-        slot.decode_done.assign(slot.window.size(), 0);
-        std::vector<char> &done = slot.decode_done;
+        // Entries that stay are compacted as the scan goes:
+        // window[0, keep) holds the survivors of window[0, i).
+        size_t keep = 0;
+        size_t i = 0;
 
-        for (size_t i = 0;
-             i < slot.window.size() && issues < cfg_.width; ++i) {
+        for (; i < slot.window.size() && issues < cfg_.width; ++i) {
             const WindowEntry &entry = slot.window[i];
             const Insn &insn = entry.insn;
             const bool front = pr_int == 0 && pr_fp == 0 &&
                                pw_int == 0 && pw_fp == 0 &&
                                !mem_blocked && !queue_write_blocked;
 
-            if (insn.isBranch() || insn.isThreadCtl()) {
+            if (entry.control) {
                 if (!front)
                     break;
                 // Control instructions also wait for the slot's own
@@ -1177,7 +1221,6 @@ MultithreadedProcessor::decodeSlot(int slot_id, Cycle c)
                     flushed = true;
                     break;
                 }
-                done[i] = 1;
                 continue;
             }
 
@@ -1191,7 +1234,7 @@ MultithreadedProcessor::decodeSlot(int slot_id, Cycle c)
                 issuable = false;
             }
 
-            const FuClass cls = insn.fu();
+            const FuClass cls = entry.fu;
             if (issuable) {
                 if (cfg_.standby_enabled) {
                     if (slot.ungranted_class[static_cast<int>(
@@ -1207,7 +1250,7 @@ MultithreadedProcessor::decodeSlot(int slot_id, Cycle c)
                 }
             }
 
-            if (issuable && insn.isMem() &&
+            if (issuable && entry.mem &&
                 (slot.ungranted_mem > 0 || mem_blocked)) {
                 ++*stall_memorder_;
                 issuable = false;
@@ -1217,18 +1260,18 @@ MultithreadedProcessor::decodeSlot(int slot_id, Cycle c)
             // program order: a younger pop may not overtake an
             // older instruction still waiting in the window.
             if (issuable && queue_read_blocked &&
-                queuePopCount(ctx, insn) > 0) {
+                queuePopCount(ctx, entry) > 0) {
                 ++*stall_operands_;
                 issuable = false;
             }
 
-            if (issuable &&
-                !operandsReady(slot, ctx, insn, c, pw_int, pw_fp)) {
+            if (issuable && !operandsReady(slot_id, ctx, entry, c,
+                                           pw_int, pw_fp)) {
                 ++*stall_operands_;
                 issuable = false;
             }
 
-            const RegRef dst = insn.dst();
+            const RegRef dst = entry.dst;
             bool queue_write = false;
             if (issuable && dst.valid()) {
                 queue_write =
@@ -1280,22 +1323,19 @@ MultithreadedProcessor::decodeSlot(int slot_id, Cycle c)
                     ev.insn = encode(insn);
                     sink_->event(ev);
                 }
-                sched_units_[static_cast<int>(cls)].submit(
-                    std::move(op));
+                sched_units_[static_cast<int>(cls)].submit(op);
                 ++slot.ungranted_total;
                 ++slot.ungranted_class[static_cast<int>(cls)];
-                if (insn.isMem())
+                if (entry.mem)
                     ++slot.ungranted_mem;
                 ++issues;
-                done[i] = 1;
             } else {
-                RegRef srcs[3];
-                const int n = insn.srcs(srcs);
-                for (int s = 0; s < n; ++s) {
-                    if (srcs[s].file == RF::Fp)
-                        addMask(pr_fp, srcs[s].idx);
+                for (int s = 0; s < entry.nsrcs; ++s) {
+                    const RegRef &src = entry.srcs[s];
+                    if (src.file == RF::Fp)
+                        addMask(pr_fp, src.idx);
                     else
-                        addMask(pr_int, srcs[s].idx);
+                        addMask(pr_int, src.idx);
                 }
                 if (dst.valid()) {
                     if (dst.file == RF::Fp)
@@ -1303,34 +1343,39 @@ MultithreadedProcessor::decodeSlot(int slot_id, Cycle c)
                     else if (dst.idx != 0)
                         addMask(pw_int, dst.idx);
                 }
-                if (insn.isMem())
+                if (entry.mem)
                     mem_blocked = true;
                 // Conservatively keep queue writes and reads in
                 // order even when we cannot cheaply tell the
                 // mapping here.
                 queue_write_blocked = true;
                 queue_read_blocked = true;
+                if (keep != i)
+                    slot.window[keep] = entry;
+                ++keep;
             }
         }
 
-        if (!flushed) {
-            size_t w = 0;
-            for (size_t i = 0; i < slot.window.size(); ++i) {
-                if (!done[i])
-                    slot.window[w++] = slot.window[i];
-            }
-            slot.window.resize(w);
+        // Close the gap issued entries left (a flush emptied the
+        // window already).
+        if (!flushed && keep != i) {
+            slot.window.erase(slot.window.begin() + keep,
+                              slot.window.begin() + i);
         }
     }
 
     // D1: move instructions from the queue unit into the window.
     if (slot.frame >= 0 && !slot.trap_pending) {
         while (static_cast<int>(slot.window.size()) < cfg_.width &&
-               !slot.iqueue.empty()) {
-            const Addr a = slot.iqueue.front();
-            slot.iqueue.pop_front();
+               slot.iq_count > 0) {
+            const Addr a = slot.iq_head;
+            slot.iq_head += kInsnBytes;
+            --slot.iq_count;
+            // text_.at() raises the off-text FatalError; the record
+            // at the same index carries the derived operand fields.
+            (void)text_.at(a);
             slot.window.push_back(
-                WindowEntry{text_.at(a), a, false});
+                records_[(a - prog_.text_base) / kInsnBytes]);
         }
     }
 }
@@ -1339,11 +1384,9 @@ void
 MultithreadedProcessor::decodePhase(Cycle c)
 {
     // Decode in current priority order; determinism matters for the
-    // queue-register network. The order is snapshotted into a
-    // reused buffer (decodeSlot must not observe a mid-phase ring
-    // change, and a fresh vector per cycle would churn the heap).
-    decode_order_.assign(ring_.begin(), ring_.end());
-    for (int s : decode_order_)
+    // queue-register network. Only rotationPhase and fastForward
+    // reorder ring_, so it is stable for the whole phase.
+    for (int s : ring_)
         decodeSlot(s, c);
 }
 
@@ -1351,10 +1394,9 @@ void
 MultithreadedProcessor::rotationPhase(Cycle c)
 {
     bool rotated = false;
-    if (rotation_mode_ == RotationMode::Implicit &&
-        rotation_interval_ > 0 &&
-        c % static_cast<Cycle>(rotation_interval_) == 0) {
+    if (c == next_rotation_) {
         rotateRing();
+        next_rotation_ += static_cast<Cycle>(rotation_interval_);
         rotated = true;
     }
     if (rotate_requested_) {
@@ -1393,7 +1435,7 @@ MultithreadedProcessor::dumpState(std::ostream &os) const
         const Slot &slot = slots_[s];
         os << "slot " << s << ": frame=" << slot.frame
            << " trap=" << slot.trap_pending
-           << " iq=" << slot.iqueue.size()
+           << " iq=" << slot.iq_count
            << " win=" << slot.window.size()
            << " ungranted=" << slot.ungranted_total
            << " qpush=" << slot.queue_push_pending
@@ -1444,8 +1486,7 @@ MultithreadedProcessor::nextEventCycle(Cycle c) const
         }
         // A new fetch starts once this slot's port is idle.
         if (!slot.fetch_inflight &&
-            cfg_.iqueueWords() >
-                static_cast<int>(slot.iqueue.size()) &&
+            cfg_.iqueueWords() > slot.iq_count &&
             slot.fetch_addr < end) {
             const FetchPort &port =
                 ports_[cfg_.private_icache ? s : 0];
@@ -1458,7 +1499,7 @@ MultithreadedProcessor::nextEventCycle(Cycle c) const
             ev = std::min(ev, std::max(c + 1, slot.d2_allowed));
         // D1 moves queued instructions into free window space.
         if (static_cast<int>(slot.window.size()) < cfg_.width &&
-            !slot.iqueue.empty()) {
+            slot.iq_count > 0) {
             return c + 1;
         }
     }
@@ -1496,7 +1537,7 @@ MultithreadedProcessor::fastForward(Cycle stop)
         if (!slot.window.empty() && slot.d2_allowed <= now_ + 1)
             return;
         if (static_cast<int>(slot.window.size()) < cfg_.width &&
-            !slot.iqueue.empty())
+            slot.iq_count > 0)
             return;
     }
     const Cycle next = nextEventCycle(now_);
@@ -1527,6 +1568,7 @@ MultithreadedProcessor::fastForward(Cycle stop)
         }
     }
     now_ = target - 1;
+    resetRotationClock(target);
 }
 
 RunStats

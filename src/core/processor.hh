@@ -26,7 +26,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <istream>
 #include <memory>
 #include <optional>
@@ -208,19 +207,40 @@ class MultithreadedProcessor
     };
 
     // ----- thread slots ------------------------------------------
+    /**
+     * One decode-window entry: the instruction plus the operand
+     * facts D2 needs on every attempt, derived once by makeEntry()
+     * (at construction for text words, on bind for replayed
+     * entries, on checkpoint restore) instead of on every attempt.
+     */
     struct WindowEntry
     {
         Insn insn;
         Addr pc = 0;
         bool replay = false;
+        /** Branch or thread-control: executes in the decode unit. */
+        bool control = false;
+        bool mem = false;
+        FuClass fu = FuClass::None;
+        std::uint8_t nsrcs = 0;
+        RegRef srcs[3];
+        RegRef dst;
     };
+
+    static WindowEntry makeEntry(const Insn &insn, Addr pc,
+                                 bool replay);
 
     struct Slot
     {
         int frame = -1;             ///< bound context, -1 = free
         bool trap_pending = false;  ///< draining for a switch-out
 
-        std::deque<Addr> iqueue;    ///< instruction queue unit
+        /** Instruction queue unit: iq_count consecutive text
+         *  words starting at iq_head (deliveries always extend the
+         *  run: a partial one rewinds fetch_addr to its first
+         *  dropped word). */
+        Addr iq_head = 0;
+        int iq_count = 0;
         Addr fetch_addr = 0;        ///< next address to fetch
         /** A FetchOp for this slot is in flight (at most one ever
          *  is; spares fetchPhase an O(inflight) scan per port). */
@@ -257,10 +277,6 @@ class MultithreadedProcessor
          * malloc/free pair per retired instruction.
          */
         std::array<WbBin, 64> wb_ring{};
-
-        /** Scratch for decodeSlot's issued-entry marks; a member so
-         *  the per-cycle loop never heap-allocates after warm-up. */
-        std::vector<char> decode_done;
     };
 
     // ----- fetch engine ------------------------------------------
@@ -269,6 +285,8 @@ class MultithreadedProcessor
         int slot = -1;
         Addr addr = 0;
         int words = 0;
+        /** Started by a branch or bind (kept for the checkpoint
+         *  format; deliveries treat every block alike). */
         bool redirect = false;
         Cycle done_at = 0;
     };
@@ -316,13 +334,14 @@ class MultithreadedProcessor
     ControlOutcome handleControl(int slot_id,
                                  const WindowEntry &entry, Cycle c);
     OperandValues readOperands(int slot_id, const Insn &insn);
-    bool operandsReady(const Slot &slot, const Context &ctx,
-                       const Insn &insn, Cycle c,
+    bool operandsReady(int slot_id, const Context &ctx,
+                       const WindowEntry &entry, Cycle c,
                        std::uint32_t pw_int,
                        std::uint32_t pw_fp) const;
-    /** Queue-register pops @p insn performs under @p ctx's current
+    /** Queue-register pops @p entry performs under @p ctx's current
      *  queue mappings (0 = reads no queue register). */
-    int queuePopCount(const Context &ctx, const Insn &insn) const;
+    int queuePopCount(const Context &ctx,
+                      const WindowEntry &entry) const;
     Cycle &sbOf(Slot &slot, RegRef ref);
     Cycle sbOf(const Slot &slot, RegRef ref) const;
 
@@ -350,6 +369,9 @@ class MultithreadedProcessor
     bool slotActive(int slot_id) const;
     bool hasTopPriority(int slot_id) const;
     void rotateRing();
+    /** Point next_rotation_ at the first implicit-rotation cycle
+     *  >= @p from under the current mode and interval. */
+    void resetRotationClock(Cycle from);
 
     Context &ctxOf(int slot_id);
     const Context &ctxOf(int slot_id) const;
@@ -357,8 +379,11 @@ class MultithreadedProcessor
     const Program &prog_;
     MainMemory &mem_;
     CoreConfig cfg_;
-    /** Text segment decoded once; every window fill indexes it. */
+    /** Text segment decoded once; D1 validates fetch addresses
+     *  against it (off-text FatalError). */
     PredecodedText text_;
+    /** One window record per text word, indexed like text_. */
+    std::vector<WindowEntry> records_;
 
     std::vector<Context> contexts_;
     std::vector<Slot> slots_;
@@ -374,6 +399,10 @@ class MultithreadedProcessor
     bool rotate_requested_ = false;
     RotationMode rotation_mode_;
     int rotation_interval_;
+    /** Next cycle whose rotation phase rotates implicitly
+     *  (kNeverCycle when none will); derived from now_, the mode
+     *  and the interval, so it is never checkpointed. */
+    Cycle next_rotation_ = kNeverCycle;
 
     Cycle last_activity_ = 0;
     /** Last completed cycle; run loops execute cycle now_ + 1. */
@@ -394,9 +423,8 @@ class MultithreadedProcessor
     /** Emit a state snapshot at the next run()/runUntil() entry. */
     bool snapshot_pending_ = false;
 
-    /** Reused per-cycle buffers (no per-cycle heap traffic). */
+    /** Reused per-cycle buffer (no per-cycle heap traffic). */
     std::vector<Grant> grants_scratch_;
-    std::vector<int> decode_order_;
 
     /**
      * Issue-path stall counters resolved once at construction;

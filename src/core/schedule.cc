@@ -26,11 +26,11 @@ ScheduleUnit::slotBusy(int slot) const
 }
 
 void
-ScheduleUnit::submit(IssuedOp op)
+ScheduleUnit::submit(const IssuedOp &op)
 {
     SMTSIM_ASSERT(!slotBusy(op.slot),
                   "double submit to one standby station");
-    incoming_.push_back(std::move(op));
+    incoming_.push_back(op);
 }
 
 std::vector<Grant>
@@ -47,33 +47,43 @@ ScheduleUnit::select(Cycle c, const std::vector<int> &priority_order,
 {
     grants.clear();
 
-    // Latch newly arriving instructions into their standby stations.
-    for (auto it = incoming_.begin(); it != incoming_.end();) {
-        if (it->arrive <= c) {
-            SMTSIM_ASSERT(!standby_[it->slot].has_value(),
-                          "standby station collision");
-            if (sink_) {
-                obs::Event ev;
-                ev.cycle = c;
-                ev.kind = obs::EventKind::Park;
-                ev.slot = static_cast<std::int8_t>(it->slot);
-                ev.fu = static_cast<std::int8_t>(cls_);
-                ev.pc = it->pc;
-                ev.insn = encode(it->insn);
-                sink_->event(ev);
-            }
-            standby_[it->slot] = std::move(*it);
-            ++standby_occupied_;
-            it = incoming_.erase(it);
-        } else {
-            ++it;
+    // Latch newly arriving instructions into their standby stations
+    // (one compaction pass; not-yet-arrived ops keep their order).
+    std::size_t keep = 0;
+    for (std::size_t i = 0; i < incoming_.size(); ++i) {
+        IssuedOp &op = incoming_[i];
+        if (op.arrive > c) {
+            if (keep != i)
+                incoming_[keep] = std::move(op);
+            ++keep;
+            continue;
         }
+        SMTSIM_ASSERT(!standby_[op.slot].has_value(),
+                      "standby station collision");
+        if (sink_) {
+            obs::Event ev;
+            ev.cycle = c;
+            ev.kind = obs::EventKind::Park;
+            ev.slot = static_cast<std::int8_t>(op.slot);
+            ev.fu = static_cast<std::int8_t>(cls_);
+            ev.pc = op.pc;
+            ev.insn = encode(op.insn);
+            sink_->event(ev);
+        }
+        standby_[op.slot] = std::move(op);
+        ++standby_occupied_;
     }
+    incoming_.resize(keep);
 
-    // Grant in priority order while units can accept.
+    // Grant in priority order while units can accept; stop once
+    // every occupied station has been seen.
+    int waiting = standby_occupied_;
     for (int slot : priority_order) {
+        if (waiting == 0)
+            break;
         if (!standby_[slot].has_value())
             continue;
+        --waiting;
         int unit = -1;
         for (size_t u = 0; u < units_.size(); ++u) {
             if (units_[u] <= c) {
@@ -83,12 +93,13 @@ ScheduleUnit::select(Cycle c, const std::vector<int> &priority_order,
         }
         if (unit < 0)
             break;      // every unit busy: lower priorities wait too
-        IssuedOp op = std::move(*standby_[slot]);
+        Grant &g = grants.emplace_back();
+        g.op = *standby_[slot];
+        g.unit = unit;
         standby_[slot].reset();
         --standby_occupied_;
         units_[unit] =
-            c + static_cast<Cycle>(opMeta(op.insn.op).issue_latency);
-        grants.push_back(Grant{std::move(op), unit});
+            c + static_cast<Cycle>(opMeta(g.op.insn.op).issue_latency);
     }
 }
 

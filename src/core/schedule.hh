@@ -58,7 +58,7 @@ class ScheduleUnit
     bool slotBusy(int slot) const;
 
     /** Accept an instruction issued by a decode unit. */
-    void submit(IssuedOp op);
+    void submit(const IssuedOp &op);
 
     /**
      * Run the selection for cycle @p c. @p priority_order lists the

@@ -1,6 +1,7 @@
 #include "oracle.hh"
 
 #include <cstring>
+#include <map>
 #include <sstream>
 
 #include "base/logging.hh"
@@ -10,6 +11,7 @@
 #include "interp/interpreter.hh"
 #include "machine/manycore.hh"
 #include "machine/manycore_json.hh"
+#include "machine/run_stats_json.hh"
 #include "mem/memory.hh"
 
 namespace smtsim::fuzz
@@ -41,6 +43,42 @@ captureMemory(const Program &prog, MainMemory &mem, EngineState &st)
         st.mem.push_back(
             mem.read32(prog.data_base + static_cast<Addr>(i) * 4));
     }
+}
+
+/** Every RunStats field and detail counter of a core run, by name,
+ *  with its value as text (RunStats arrays as their JSON). */
+std::vector<std::pair<std::string, std::string>>
+captureTiming(const RunStats &stats, const stats::Group &detail)
+{
+    std::vector<std::pair<std::string, std::string>> t;
+    const Json fields = statsToJson(stats);
+    for (const auto &[name, value] : fields.members())
+        t.emplace_back(name, value.dump());
+    for (const auto &[name, value] : detail.all())
+        t.emplace_back(detail.name() + "." + name, std::to_string(value));
+    return t;
+}
+
+std::string
+diffTiming(const EngineState &ref, const EngineState &got)
+{
+    const auto &a = ref.timing;
+    const auto &b = got.timing;
+    std::ostringstream os;
+    for (std::size_t i = 0; i < a.size() || i < b.size(); ++i) {
+        if (i < a.size() && i < b.size() && a[i] == b[i])
+            continue;
+        os << "timing mismatch: ";
+        if (i < a.size() && i < b.size() && a[i].first == b[i].first) {
+            os << a[i].first << ": ref " << a[i].second << " vs "
+               << b[i].second;
+        } else {
+            os << "counter " << (i < a.size() ? a[i].first : "(none)")
+               << " vs " << (i < b.size() ? b[i].first : "(none)");
+        }
+        return os.str();
+    }
+    return {};
 }
 
 } // namespace
@@ -169,6 +207,7 @@ runEngine(const Program &prog, const RunConfig &rc,
             const RunStats stats = cpu.run();
             st.finished = stats.finished;
             st.instructions = stats.instructions;
+            st.timing = captureTiming(stats, cpu.detail());
             for (int t = 0; t < rc.slots; ++t) {
                 std::array<std::uint32_t, kNumRegs> ir{};
                 std::array<std::uint64_t, kNumRegs> fr{};
@@ -251,6 +290,8 @@ diffStates(const EngineState &ref, const EngineState &got,
             return os.str();
         }
     }
+    if (!ref.timing.empty() && !got.timing.empty())
+        return diffTiming(ref, got);
     return {};
 }
 
@@ -263,6 +304,8 @@ classifyDivergence(const std::string &detail)
         return DivClass::Finished;
     if (detail.rfind("retired-instruction mismatch", 0) == 0)
         return DivClass::Instructions;
+    if (detail.rfind("timing mismatch", 0) == 0)
+        return DivClass::Timing;
     return DivClass::State;
 }
 
@@ -286,40 +329,46 @@ buildGrid(const GenFeatures &features)
         grid.emplace_back(interpRef(slots), rc);
     }
 
-    // The issue's grid: slots 1/2/4/8 x fast-forward x cache.
+    // Each core shape runs with fast-forward on and off. Both runs
+    // must match the interpreter architecturally, and each other
+    // cycle for cycle (RunStats and every stall counter).
+    auto addCore = [&](RunConfig rc) {
+        rc.engine = Engine::Core;
+        rc.fast_forward = true;
+        RunConfig naive = rc;
+        naive.fast_forward = false;
+        grid.emplace_back(interpRef(rc.slots), rc);
+        grid.emplace_back(interpRef(rc.slots), naive);
+        grid.emplace_back(naive, rc);
+    };
+
+    // Slots 1/2/4/8 x cache.
     for (int slots : {1, 2, 4, 8}) {
-        for (bool ff : {true, false}) {
-            for (bool cache : {true, false}) {
-                RunConfig rc;
-                rc.engine = Engine::Core;
-                rc.slots = slots;
-                rc.fast_forward = ff;
-                rc.cache = cache;
-                grid.emplace_back(interpRef(slots), rc);
-            }
+        for (bool cache : {true, false}) {
+            RunConfig rc;
+            rc.slots = slots;
+            rc.cache = cache;
+            addCore(rc);
         }
     }
 
     // Micro-architecture extras at the paper's headline S=4.
     {
         RunConfig rc;
-        rc.engine = Engine::Core;
         rc.slots = 4;
         rc.standby = false;
-        grid.emplace_back(interpRef(4), rc);
+        addCore(rc);
 
         rc = {};
-        rc.engine = Engine::Core;
         rc.slots = 4;
         rc.width = 2;
-        grid.emplace_back(interpRef(4), rc);
+        addCore(rc);
 
         rc = {};
-        rc.engine = Engine::Core;
         rc.slots = 4;
         rc.explicit_rot = true;
         rc.interval = 8;
-        grid.emplace_back(interpRef(4), rc);
+        addCore(rc);
     }
 
     // Remote memory rebinds contexts across slots after a switch,
@@ -329,10 +378,9 @@ buildGrid(const GenFeatures &features)
     // with which *slot* holds the ring head, not which context.
     if (!features.usesQueues() && !features.priority) {
         RunConfig rc;
-        rc.engine = Engine::Core;
         rc.slots = 4;
         rc.remote = true;
-        grid.emplace_back(interpRef(4), rc);
+        addCore(rc);
     }
 
     // Baseline executes thread-control ops as no-ops, so it only
@@ -452,26 +500,21 @@ std::optional<Divergence>
 checkProgram(const Program &prog, const GenFeatures &features,
              const OracleBudget &budget)
 {
-    // Each reference state is computed once per slot count.
-    std::vector<std::pair<RunConfig, RunConfig>> grid =
-        buildGrid(features);
-    std::vector<std::pair<std::string, EngineState>> ref_cache;
-    for (const auto &[ref, cfg] : grid) {
-        const std::string key = ref.name();
-        const EngineState *ref_state = nullptr;
-        for (const auto &[k, st] : ref_cache) {
-            if (k == key) {
-                ref_state = &st;
-                break;
-            }
-        }
-        if (!ref_state) {
-            ref_cache.emplace_back(key, runEngine(prog, ref, budget));
-            ref_state = &ref_cache.back().second;
-        }
-        const EngineState got = runEngine(prog, cfg, budget);
+    // Each cell runs once; cells recur across pairs (interpreter
+    // references, and core cells in their fast-forward pairs).
+    std::map<std::string, EngineState> states;
+    auto stateOf = [&](const RunConfig &rc) -> const EngineState & {
+        const std::string key = rc.name();
+        auto it = states.find(key);
+        if (it == states.end())
+            it = states.emplace(key, runEngine(prog, rc, budget)).first;
+        return it->second;
+    };
+    for (const auto &[ref, cfg] : buildGrid(features)) {
+        const EngineState &a = stateOf(ref);
+        const EngineState &b = stateOf(cfg);
         const std::string diff =
-            diffStates(*ref_state, got, features.usesQueues());
+            diffStates(a, b, features.usesQueues());
         if (!diff.empty())
             return Divergence{ref, cfg, diff};
     }

@@ -11,6 +11,10 @@
  * ring whose shape depends on S). The baseline engine executes the
  * thread-control instructions as no-ops, so it is compared against
  * interpreter(1) and skipped entirely for queue-register programs.
+ *
+ * Every core shape also runs with idle-cycle fast-forward on and
+ * off, and the two runs must agree on timing too: every RunStats
+ * field and every detailed stall counter.
  */
 
 #ifndef SMTSIM_FUZZ_ORACLE_HH
@@ -74,6 +78,9 @@ struct EngineState
     std::vector<std::array<std::uint64_t, kNumRegs>> fregs;
     /** Data-segment words. */
     std::vector<std::uint32_t> mem;
+    /** Core runs only: every RunStats field and detail counter by
+     *  name, in a fixed order. Compared when both sides have one. */
+    std::vector<std::pair<std::string, std::string>> timing;
 };
 
 /** Simulation budgets (generated programs stay far below these; the
@@ -91,7 +98,9 @@ EngineState runEngine(const Program &prog, const RunConfig &rc,
 
 /**
  * Compare two outcomes; returns an empty string when they agree or
- * a one-line description of the first mismatch. When
+ * a one-line description of the first mismatch. Timing is compared
+ * after the architectural state, and only when both outcomes carry
+ * it (two core runs). When
  * @p mask_queue_regs is set the architectural values of the queue
  * pair registers (r20/r21, f8/f9) are ignored: while mapped, those
  * names address the FIFO, and the leftover architectural values are
@@ -124,7 +133,8 @@ enum class DivClass
     Trap,
     Finished,
     Instructions,
-    State       ///< registers or memory
+    State,      ///< registers or memory
+    Timing      ///< cycles, RunStats or stall counters (core vs core)
 };
 
 DivClass classifyDivergence(const std::string &detail);

@@ -23,6 +23,7 @@
 #include "fuzz/generate.hh"
 #include "machine/manycore.hh"
 #include "machine/manycore_json.hh"
+#include "obs/serial.hh"
 #include "test_common.hh"
 #include "workloads/workloads.hh"
 
@@ -350,6 +351,108 @@ TEST(Checkpoint, RejectsTruncatedStream)
     MultithreadedProcessor fresh2(w.program, mem3, cfg);
     EXPECT_THROW(fresh2.restoreCheckpoint(garbage),
                  std::runtime_error);
+}
+
+namespace
+{
+
+/**
+ * Byte offset of thread slot 0's instruction-queue address list in
+ * a checkpoint image (docs/OBSERVABILITY.md layout), and its length
+ * through @p count.
+ */
+std::size_t
+slot0QueueOffset(const std::string &bytes, std::uint32_t *count)
+{
+    std::istringstream is(bytes);
+    obs::ByteReader r(is);
+    r.u64();    // magic
+    r.u32();    // version
+    r.u64();    // fingerprint
+    r.u64();    // cycle
+    const std::uint32_t nctx = r.u32();
+    for (std::uint32_t f = 0; f < nctx; ++f) {
+        r.u8();                     // state
+        r.u32();                    // resume pc
+        for (int i = 0; i < kNumRegs; ++i)
+            r.u32();
+        for (int i = 0; i < kNumRegs; ++i)
+            r.u64();
+        for (int i = 0; i < 4; ++i) {
+            r.b();                  // queue mapping present
+            r.u8();                 // register
+        }
+        const std::uint32_t nreplay = r.u32();
+        for (std::uint32_t i = 0; i < nreplay; ++i) {
+            r.u16();
+            r.u8();
+            r.u8();
+            r.u8();
+            r.u32();                // imm
+            r.u32();                // pc
+        }
+        r.u64();                    // ready_at
+        r.b();
+        r.u32();                    // satisfied address
+        r.u64();                    // retired instructions
+    }
+    r.u32();                        // slot count
+    r.i32();                        // slot 0 frame
+    r.b();                          // trap pending
+    *count = r.u32();
+    return static_cast<std::size_t>(is.tellg());
+}
+
+} // namespace
+
+TEST(Checkpoint, RejectsNonContiguousInstructionQueue)
+{
+    MatmulParams mp;
+    mp.n = 4;
+    const Workload w = makeMatmul(mp);
+    CoreConfig cfg;
+    cfg.max_cycles = 100'000;
+
+    // Find a cycle at which slot 0 holds at least two queued words.
+    MainMemory mem;
+    initMemory(w, mem);
+    MultithreadedProcessor cpu(w.program, mem, cfg);
+    std::string bytes;
+    std::uint32_t count = 0;
+    std::size_t off = 0;
+    for (Cycle at = 10; at < 400 && count < 2; ++at) {
+        cpu.runUntil(at);
+        std::ostringstream os;
+        cpu.saveCheckpoint(os);
+        bytes = os.str();
+        off = slot0QueueOffset(bytes, &count);
+    }
+    ASSERT_GE(count, 2u) << "slot 0 never queued two words";
+
+    // The untouched image restores.
+    {
+        std::istringstream is(bytes);
+        MainMemory mem2;
+        MultithreadedProcessor ok(w.program, mem2, cfg);
+        EXPECT_NO_THROW(ok.restoreCheckpoint(is));
+    }
+
+    // Flip a bit of the second queued address: the list is no longer
+    // one run of consecutive words, which restore must reject as a
+    // corrupt checkpoint rather than crash on.
+    std::string bad = bytes;
+    bad[off + 4] = static_cast<char>(bad[off + 4] ^ 0x04);
+    std::istringstream is(bad);
+    MainMemory mem3;
+    MultithreadedProcessor fresh(w.program, mem3, cfg);
+    try {
+        fresh.restoreCheckpoint(is);
+        ADD_FAILURE() << "non-contiguous queue accepted";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("not contiguous"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(Checkpoint, ManyCoreMachineResumesBitIdentically)

@@ -48,10 +48,11 @@ expectSameStats(const RunStats &ff, const RunStats &naive,
 }
 
 /** Run @p w on the core twice (fast-forward on/off) and compare
- *  everything observable. */
+ *  everything observable; @p ff_stats receives the fast-forward
+ *  run's stats. */
 void
 checkCoreExact(const Workload &w, CoreConfig cfg,
-               const std::string &what)
+               const std::string &what, RunStats *ff_stats = nullptr)
 {
     // Bound the naive pass: a misconfigured shape must exhaust a
     // small budget, not the 2e9-cycle default.
@@ -63,6 +64,8 @@ checkCoreExact(const Workload &w, CoreConfig cfg,
         w.init(mem_ff);
     MultithreadedProcessor ff(w.program, mem_ff, cfg);
     const RunStats sf = ff.run();
+    if (ff_stats)
+        *ff_stats = sf;
 
     cfg.fast_forward = false;
     MainMemory mem_nv;
@@ -180,6 +183,30 @@ TEST(FastForward, CoreExactOnEveryWorkloadAndShape)
             checkCoreExact(w, cfg, w.name + " / " + tag);
             if (HasFatalFailure())
                 return;
+        }
+    }
+}
+
+TEST(FastForward, InstructionQueueSmallerThanFetchBlock)
+{
+    // A queue that cannot hold a whole fetch block must refetch the
+    // words a delivery drops, redirect blocks included. Dropping
+    // them skips instructions (wrong matmul results) or leaves a
+    // 1-word queue spinning until the budget runs out.
+    MatmulParams mp;
+    mp.n = 4;
+    const Workload w = makeMatmul(mp);
+    for (int slots : {2, 4}) {
+        for (int words : {1, 2, 4, 7}) {
+            CoreConfig cfg;
+            cfg.num_slots = slots;
+            cfg.iqueue_words = words;
+            const std::string what = "slots=" + std::to_string(slots) +
+                                     " iqueue_words=" +
+                                     std::to_string(words);
+            RunStats st;
+            checkCoreExact(w, cfg, what, &st);
+            EXPECT_TRUE(st.finished) << what;
         }
     }
 }

@@ -131,6 +131,64 @@ TEST(FuzzOracle, GridRespectsFeatureExclusions)
     EXPECT_TRUE(saw_remote);
 }
 
+TEST(FuzzOracle, EveryCoreShapeIsTimedAgainstTheNaiveLoop)
+{
+    GenFeatures plain;
+    const auto grid = buildGrid(plain);
+    int core_cells = 0;
+    for (const auto &[ref, cfg] : grid) {
+        if (cfg.engine != Engine::Core || !cfg.fast_forward ||
+            ref.engine != Engine::Interp) {
+            continue;
+        }
+        ++core_cells;
+        RunConfig naive = cfg;
+        naive.fast_forward = false;
+        bool timed = false;
+        for (const auto &[r, c] : grid) {
+            timed = timed || (r.name() == naive.name() &&
+                              c.name() == cfg.name());
+        }
+        EXPECT_TRUE(timed) << cfg.name() << " has no ff=0 pair";
+    }
+    // slots 1/2/4/8 x cache, no-standby, width 2, explicit
+    // rotation, remote.
+    EXPECT_EQ(core_cells, 12);
+}
+
+TEST(FuzzOracle, TimingDifferenceIsItsOwnClass)
+{
+    GenOptions opts;
+    opts.seed = 99;
+    const GenProgram prog = generate(opts);
+    const Program image = assemble(prog.render());
+    RunConfig ff;
+    ff.engine = Engine::Core;
+    ff.slots = 2;
+    RunConfig naive = ff;
+    naive.fast_forward = false;
+    const EngineState a = runEngine(image, naive, testBudget());
+    EngineState b = runEngine(image, ff, testBudget());
+    ASSERT_FALSE(a.timing.empty());
+    EXPECT_EQ(diffStates(a, b, prog.features.usesQueues()), "");
+
+    // Same architecture, ten times the cycles: a timing divergence.
+    ASSERT_EQ(b.timing.front().first, "cycles");
+    b.timing.front().second += "0";
+    const std::string diff =
+        diffStates(a, b, prog.features.usesQueues());
+    EXPECT_EQ(classifyDivergence(diff), DivClass::Timing) << diff;
+    EXPECT_NE(diff.find("cycles"), std::string::npos) << diff;
+
+    // The interpreter carries no timing, so it never compares it.
+    RunConfig interp;
+    interp.engine = Engine::Interp;
+    interp.slots = 2;
+    EXPECT_EQ(diffStates(runEngine(image, interp, testBudget()), b,
+                         prog.features.usesQueues()),
+              "");
+}
+
 TEST(LintOracle, SmallCellHasNoMismatches)
 {
     LintOracleOptions opts;
