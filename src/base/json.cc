@@ -1,9 +1,8 @@
 #include "json.hh"
 
-#include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <sstream>
 
 namespace smtsim
 {
@@ -126,12 +125,21 @@ Json::asString() const
 // Writer
 // ----------------------------------------------------------------
 
-std::string
-jsonEscape(std::string_view s)
+namespace
 {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
+
+/** Append @p s escaped; runs that need no escape go in one step. */
+void
+appendEscaped(std::string &out, std::string_view s)
+{
+    static constexpr char kHex[] = "0123456789abcdef";
+    std::size_t run = 0;    // start of the pending unescaped run
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const auto c = static_cast<unsigned char>(s[i]);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out.append(s.data() + run, i - run);
+        run = i + 1;
         switch (c) {
           case '"': out += "\\\""; break;
           case '\\': out += "\\\\"; break;
@@ -140,87 +148,96 @@ jsonEscape(std::string_view s)
           case '\n': out += "\\n"; break;
           case '\r': out += "\\r"; break;
           case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
+          default: {
+            const char esc[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                                kHex[c & 0xf]};
+            out.append(esc, sizeof(esc));
+          }
         }
     }
-    return out;
+    out.append(s.data() + run, s.size() - run);
 }
 
-namespace
-{
-
 void
-newlineIndent(std::ostream &os, int indent, int depth)
+newlineIndent(std::string &out, int indent, int depth)
 {
     if (indent <= 0)
         return;
-    os << '\n';
-    for (int i = 0; i < indent * depth; ++i)
-        os << ' ';
+    out += '\n';
+    out.append(static_cast<std::size_t>(indent) * depth, ' ');
 }
 
 } // namespace
 
+std::string
+jsonEscape(std::string_view s)
+{
+    std::string out;
+    out.reserve(s.size());
+    appendEscaped(out, s);
+    return out;
+}
+
 void
-Json::writeImpl(std::ostream &os, int indent, int depth) const
+Json::writeImpl(std::string &out, int indent, int depth) const
 {
     switch (type_) {
       case Type::Null:
-        os << "null";
+        out += "null";
         break;
       case Type::Bool:
-        os << (bool_ ? "true" : "false");
+        out += bool_ ? "true" : "false";
         break;
-      case Type::Int:
-        os << int_;
+      case Type::Int: {
+        char buf[24];
+        const auto res = std::to_chars(buf, buf + sizeof(buf), int_);
+        out.append(buf, res.ptr);
         break;
+      }
       case Type::Double: {
         if (!std::isfinite(dbl_)) {
-            os << "null";   // JSON has no inf/nan
+            out += "null";  // JSON has no inf/nan
             break;
         }
         char buf[40];
-        std::snprintf(buf, sizeof(buf), "%.17g", dbl_);
-        os << buf;
+        const int n = std::snprintf(buf, sizeof(buf), "%.17g", dbl_);
+        out.append(buf, static_cast<std::size_t>(n));
         break;
       }
       case Type::String:
-        os << '"' << jsonEscape(str_) << '"';
+        out += '"';
+        appendEscaped(out, str_);
+        out += '"';
         break;
       case Type::Array: {
-        os << '[';
+        out += '[';
         for (std::size_t i = 0; i < arr_.size(); ++i) {
             if (i)
-                os << ',';
-            newlineIndent(os, indent, depth + 1);
-            arr_[i].writeImpl(os, indent, depth + 1);
+                out += ',';
+            newlineIndent(out, indent, depth + 1);
+            arr_[i].writeImpl(out, indent, depth + 1);
         }
         if (!arr_.empty())
-            newlineIndent(os, indent, depth);
-        os << ']';
+            newlineIndent(out, indent, depth);
+        out += ']';
         break;
       }
       case Type::Object: {
-        os << '{';
+        out += '{';
         for (std::size_t i = 0; i < obj_.size(); ++i) {
             if (i)
-                os << ',';
-            newlineIndent(os, indent, depth + 1);
-            os << '"' << jsonEscape(obj_[i].first) << "\":";
+                out += ',';
+            newlineIndent(out, indent, depth + 1);
+            out += '"';
+            appendEscaped(out, obj_[i].first);
+            out += "\":";
             if (indent > 0)
-                os << ' ';
-            obj_[i].second.writeImpl(os, indent, depth + 1);
+                out += ' ';
+            obj_[i].second.writeImpl(out, indent, depth + 1);
         }
         if (!obj_.empty())
-            newlineIndent(os, indent, depth);
-        os << '}';
+            newlineIndent(out, indent, depth);
+        out += '}';
         break;
       }
     }
@@ -229,15 +246,15 @@ Json::writeImpl(std::ostream &os, int indent, int depth) const
 void
 Json::write(std::ostream &os, int indent) const
 {
-    writeImpl(os, indent, 0);
+    os << dump(indent);
 }
 
 std::string
 Json::dump(int indent) const
 {
-    std::ostringstream oss;
-    write(oss, indent);
-    return oss.str();
+    std::string out;
+    writeImpl(out, indent, 0);
+    return out;
 }
 
 // ----------------------------------------------------------------
@@ -246,6 +263,12 @@ Json::dump(int indent) const
 
 namespace
 {
+
+bool
+isDigit(char c)
+{
+    return c >= '0' && c <= '9';
+}
 
 class Parser
 {
@@ -412,15 +435,17 @@ class Parser
         expect('"');
         std::string out;
         while (true) {
+            // Copy the run up to the next quote or escape at once.
+            const std::size_t run = pos_;
+            while (pos_ < text_.size() && text_[pos_] != '"' &&
+                   text_[pos_] != '\\')
+                ++pos_;
+            out.append(text_.data() + run, pos_ - run);
             if (pos_ >= text_.size())
                 fail("unterminated string");
             char c = text_[pos_++];
             if (c == '"')
                 return out;
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
             if (pos_ >= text_.size())
                 fail("unterminated escape");
             c = text_[pos_++];
@@ -477,35 +502,34 @@ class Parser
         bool is_double = false;
         if (pos_ < text_.size() && text_[pos_] == '-')
             ++pos_;
-        while (pos_ < text_.size() &&
-               std::isdigit(static_cast<unsigned char>(text_[pos_])))
+        while (pos_ < text_.size() && isDigit(text_[pos_]))
             ++pos_;
         if (pos_ < text_.size() &&
             (text_[pos_] == '.' || text_[pos_] == 'e' ||
              text_[pos_] == 'E')) {
             is_double = true;
             while (pos_ < text_.size() &&
-                   (std::isdigit(static_cast<unsigned char>(
-                        text_[pos_])) ||
-                    text_[pos_] == '.' || text_[pos_] == 'e' ||
-                    text_[pos_] == 'E' || text_[pos_] == '+' ||
-                    text_[pos_] == '-'))
+                   (isDigit(text_[pos_]) || text_[pos_] == '.' ||
+                    text_[pos_] == 'e' || text_[pos_] == 'E' ||
+                    text_[pos_] == '+' || text_[pos_] == '-'))
                 ++pos_;
         }
         if (pos_ == start)
             fail("expected a value");
+        if (!is_double) {
+            std::int64_t v = 0;
+            const char *end = text_.data() + pos_;
+            const auto res =
+                std::from_chars(text_.data() + start, end, v);
+            if (res.ec == std::errc() && res.ptr == end)
+                return Json(v);
+            // Integer overflow (e.g. > 2^63): keep it as a double.
+        }
         const std::string tok(text_.substr(start, pos_ - start));
         try {
-            if (is_double)
-                return Json(std::stod(tok));
-            return Json(static_cast<long long>(std::stoll(tok)));
+            return Json(std::stod(tok));
         } catch (const std::exception &) {
-            // Integer overflow (e.g. > 2^63): keep it as a double.
-            try {
-                return Json(std::stod(tok));
-            } catch (const std::exception &) {
-                fail("bad number \"" + tok + "\"");
-            }
+            fail("bad number \"" + tok + "\"");
         }
     }
 

@@ -111,7 +111,7 @@ class Json
     static constexpr int kMaxParseDepth = 192;
 
   private:
-    void writeImpl(std::ostream &os, int indent, int depth) const;
+    void writeImpl(std::string &out, int indent, int depth) const;
 
     Type type_;
     bool bool_ = false;

@@ -16,8 +16,6 @@ namespace smtsim
 namespace
 {
 
-constexpr std::size_t kMaxLineBytes = 64u << 20;
-
 /** Picks the right interpretation of strerror_r's result for both
  *  the XSI (int return) and GNU (char* return) signatures; exactly
  *  one overload is instantiated per platform. */
@@ -204,7 +202,7 @@ LineReader::readLine(std::string *line, int timeout_ms)
         }
         scanned_ = buf_.size();
         if (buf_.size() > kMaxLineBytes)
-            return ReadStatus::Error;
+            return ReadStatus::TooLong;
 
         pollfd pfd{fd_->get(), POLLIN, 0};
         int rc;

@@ -17,6 +17,7 @@
 #ifndef SMTSIM_BASE_SOCKIO_HH
 #define SMTSIM_BASE_SOCKIO_HH
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -76,13 +77,21 @@ Fd acceptConn(const Fd &listener);
  */
 bool writeAll(const Fd &fd, std::string_view data);
 
+/**
+ * Longest line LineReader accepts. Every protocol line (requests,
+ * events, worker replies) is a few KB; a peer that sends more is
+ * broken or hostile.
+ */
+constexpr std::size_t kMaxLineBytes = 1u << 20;
+
 /** Result of one LineReader::readLine call. */
 enum class ReadStatus
 {
     Ok,         ///< a full line was delivered (newline stripped)
     Eof,        ///< orderly shutdown before a complete line
     Timeout,    ///< timeout_ms elapsed with no complete line
-    Error       ///< read error / peer reset
+    Error,      ///< read error / peer reset
+    TooLong     ///< the line exceeds kMaxLineBytes; stop reading
 };
 
 /**
@@ -99,8 +108,9 @@ class LineReader
     /**
      * Block until a full line arrives, EOF, error, or @p timeout_ms
      * elapses (-1 = wait forever). On Ok, *line holds the line
-     * without its trailing newline. Oversized lines (> 64 MiB) are
-     * treated as errors — no request is legitimately that large.
+     * without its trailing newline. A line longer than
+     * kMaxLineBytes yields TooLong; the stream cannot be resynced
+     * after that, so the caller should close it.
      */
     ReadStatus readLine(std::string *line, int timeout_ms = -1);
 

@@ -156,9 +156,12 @@ readRunStats(obs::ByteReader &r, RunStats &s)
         v = r.u64();
     for (std::uint64_t &v : s.fu_busy)
         v = r.u64();
+    // The per-class unit counts are configuration: the sizes were
+    // set at construction and the image must agree with them.
     for (auto &units : s.unit_busy) {
         const std::uint32_t n = r.u32();
-        units.assign(n, 0);
+        if (n != units.size())
+            fail("unit_busy shape mismatch");
         for (std::uint64_t &v : units)
             v = r.u64();
     }
@@ -452,8 +455,11 @@ MultithreadedProcessor::restoreCheckpoint(std::istream &is)
     const std::uint32_t nslots = r.u32();
     if (nslots != slots_.size())
         fail("thread-slot count mismatch");
+    const int frames = static_cast<int>(contexts_.size());
     for (Slot &slot : slots_) {
         slot.frame = r.i32();
+        if (slot.frame < -1 || slot.frame >= frames)
+            fail("bad slot frame");
         slot.trap_pending = r.b();
         const std::uint32_t niq = r.u32();
         if (niq > static_cast<std::uint32_t>(cfg_.iqueueWords()))
@@ -471,6 +477,8 @@ MultithreadedProcessor::restoreCheckpoint(std::istream &is)
         slot.fetch_inflight = r.b();
         slot.window.clear();
         const std::uint32_t nwin = r.u32();
+        if (nwin > static_cast<std::uint32_t>(cfg_.width))
+            fail("decode window over width");
         for (std::uint32_t i = 0; i < nwin; ++i) {
             const Insn insn = readInsn(r);
             const Addr pc = r.u32();
@@ -541,6 +549,8 @@ MultithreadedProcessor::restoreCheckpoint(std::istream &is)
         PendingPush push;
         push.at = r.u64();
         push.slot = r.i32();
+        if (push.slot < 0 || push.slot >= cfg_.num_slots)
+            fail("bad pending-push slot");
         push.value = r.u64();
         pending_pushes_.push_back(push);
     }
@@ -549,8 +559,13 @@ MultithreadedProcessor::restoreCheckpoint(std::istream &is)
     const std::uint32_t nring = r.u32();
     if (nring != ring_.size())
         fail("priority-ring size mismatch");
-    for (int &s : ring_)
+    std::vector<bool> in_ring(ring_.size(), false);
+    for (int &s : ring_) {
         s = r.i32();
+        if (s < 0 || s >= cfg_.num_slots || in_ring[s])
+            fail("priority ring is not a permutation of the slots");
+        in_ring[s] = true;
+    }
     rotate_requested_ = r.b();
     const std::uint8_t rmode = r.u8();
     if (rmode > static_cast<std::uint8_t>(RotationMode::Explicit))
@@ -563,8 +578,12 @@ MultithreadedProcessor::restoreCheckpoint(std::istream &is)
     finished_ = r.b();
     ready_fifo_.clear();
     const std::uint32_t nready = r.u32();
-    for (std::uint32_t i = 0; i < nready; ++i)
-        ready_fifo_.push_back(r.i32());
+    for (std::uint32_t i = 0; i < nready; ++i) {
+        const int frame = r.i32();
+        if (frame < 0 || frame >= frames)
+            fail("bad ready-queue frame");
+        ready_fifo_.push_back(frame);
+    }
 
     // --- statistics ----------------------------------------------
     readRunStats(r, stats_);

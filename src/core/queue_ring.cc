@@ -1,5 +1,7 @@
 #include "queue_ring.hh"
 
+#include <stdexcept>
+
 #include "base/logging.hh"
 
 namespace smtsim
@@ -103,8 +105,9 @@ void
 QueueRing::deserialize(obs::ByteReader &r)
 {
     const std::uint32_t n = r.u32();
-    SMTSIM_ASSERT(n == links_.size(),
-                  "checkpoint queue-ring shape mismatch");
+    if (n != links_.size())
+        throw std::runtime_error(
+            "checkpoint: queue-ring shape mismatch");
     for (Link &link : links_) {
         link.fifo.clear();
         const std::uint32_t m = r.u32();

@@ -1,6 +1,8 @@
 #include "schedule.hh"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "base/logging.hh"
 
@@ -161,17 +163,28 @@ writeIssuedOp(obs::ByteWriter &w, const IssuedOp &op)
     w.b(op.queue_write);
 }
 
+[[noreturn]] void
+corrupt(const std::string &what)
+{
+    throw std::runtime_error("checkpoint: " + what);
+}
+
 IssuedOp
-readIssuedOp(obs::ByteReader &r)
+readIssuedOp(obs::ByteReader &r, int num_slots)
 {
     IssuedOp op;
-    op.insn.op = static_cast<Op>(r.u16());
+    const std::uint16_t code = r.u16();
+    if (code >= kNumOps)
+        corrupt("bad opcode in a schedule unit");
+    op.insn.op = static_cast<Op>(code);
     op.insn.rd = r.u8();
     op.insn.rs = r.u8();
     op.insn.rt = r.u8();
     op.insn.imm = r.i32();
     op.pc = r.u32();
     op.slot = r.i32();
+    if (op.slot < 0 || op.slot >= num_slots)
+        corrupt("bad slot in a schedule unit");
     op.ops.rs_i = r.u32();
     op.ops.rt_i = r.u32();
     op.ops.rs_f = r.f64();
@@ -204,25 +217,26 @@ void
 ScheduleUnit::deserialize(obs::ByteReader &r)
 {
     const std::uint32_t nu = r.u32();
-    SMTSIM_ASSERT(nu == units_.size(),
-                  "checkpoint schedule-unit shape mismatch");
+    if (nu != units_.size())
+        corrupt("schedule-unit shape mismatch");
     for (Cycle &u : units_)
         u = r.u64();
     const std::uint32_t ns = r.u32();
-    SMTSIM_ASSERT(ns == standby_.size(),
-                  "checkpoint standby shape mismatch");
+    if (ns != standby_.size())
+        corrupt("standby shape mismatch");
+    const int num_slots = static_cast<int>(standby_.size());
     standby_occupied_ = 0;
     for (auto &station : standby_) {
         station.reset();
         if (r.b()) {
-            station = readIssuedOp(r);
+            station = readIssuedOp(r, num_slots);
             ++standby_occupied_;
         }
     }
     incoming_.clear();
     const std::uint32_t ni = r.u32();
     for (std::uint32_t i = 0; i < ni; ++i)
-        incoming_.push_back(readIssuedOp(r));
+        incoming_.push_back(readIssuedOp(r, num_slots));
 }
 
 void

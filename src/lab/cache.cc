@@ -2,14 +2,17 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <vector>
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include "base/hash.hh"
 #include "base/logging.hh"
 
 namespace fs = std::filesystem;
@@ -20,28 +23,44 @@ namespace smtsim::lab
 namespace
 {
 
-/** Read a whole record file; empty optional-ish on failure. */
+/** Read a whole record file with one read call (short reads
+ *  retried); false on any failure. */
 bool
 readFile(const std::string &path, std::string *out)
 {
-    std::ifstream in(path);
-    if (!in)
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
         return false;
-    std::ostringstream oss;
-    oss << in.rdbuf();
-    *out = oss.str();
-    return true;
+    struct stat st;
+    bool ok = ::fstat(fd, &st) == 0;
+    if (ok) {
+        out->resize(static_cast<std::size_t>(st.st_size));
+        std::size_t got = 0;
+        while (got < out->size()) {
+            const ssize_t n =
+                ::read(fd, out->data() + got, out->size() - got);
+            if (n < 0 && errno == EINTR)
+                continue;
+            if (n <= 0)
+                break;
+            got += static_cast<std::size_t>(n);
+        }
+        out->resize(got);
+    }
+    ::close(fd);
+    return ok;
 }
 
 /** Parse a record and check schema + canonical identity. */
 bool
-recordMatches(const std::string &text, const Job &job, Json *record)
+recordMatches(const std::string &text, const std::string &canonical,
+              Json *record)
 {
     try {
         Json parsed = Json::parse(text);
         if (parsed.at("schema").asInt() != kCacheSchemaVersion)
             return false;
-        if (parsed.at("canonical").asString() != job.canonical())
+        if (parsed.at("canonical").asString() != canonical)
             return false;   // FNV collision or stale key scheme
         *record = std::move(parsed);
         return true;
@@ -75,13 +94,14 @@ ResultCache::load(const Job &job, JobResult *out) const
 {
     if (!enabled())
         return false;
-    const std::string key = job.cacheKey();
+    const std::string canonical = job.canonical();
+    const std::string key = hashToHex(fnv1a(canonical));
     const std::string path = pathFor(key);
     std::string text;
     if (!readFile(path, &text))
         return false;
     Json record;
-    if (!recordMatches(text, job, &record))
+    if (!recordMatches(text, canonical, &record))
         return false;
     try {
         JobResult r = resultFromJson(record.at("result"));
@@ -109,11 +129,12 @@ ResultCache::contains(const Job &job) const
 {
     if (!enabled())
         return false;
+    const std::string canonical = job.canonical();
     std::string text;
-    if (!readFile(pathFor(job.cacheKey()), &text))
+    if (!readFile(pathFor(hashToHex(fnv1a(canonical))), &text))
         return false;
     Json record;
-    return recordMatches(text, job, &record);
+    return recordMatches(text, canonical, &record);
 }
 
 void
@@ -121,11 +142,12 @@ ResultCache::store(const Job &job, const JobResult &result) const
 {
     if (!enabled())
         return;
-    const std::string key = job.cacheKey();
+    const std::string canonical = job.canonical();
+    const std::string key = hashToHex(fnv1a(canonical));
     Json record = Json::object();
     record.set("schema", Json(kCacheSchemaVersion));
     record.set("key", Json(key));
-    record.set("canonical", Json(job.canonical()));
+    record.set("canonical", Json(canonical));
     record.set("result", resultToJson(result));
 
     static std::atomic<unsigned> counter{0};

@@ -8,7 +8,6 @@
 #include <poll.h>
 
 #include "analysis/lint.hh"
-#include "base/hash.hh"
 #include "lab/executor.hh"
 #include "lab/spec_json.hh"
 #include "serve/protocol.hh"
@@ -152,6 +151,9 @@ Server::readerLoop(std::shared_ptr<Connection> conn)
     std::string line;
     while (!stopping_.load(std::memory_order_acquire)) {
         const ReadStatus st = reader.readLine(&line);
+        if (st == ReadStatus::TooLong)
+            sendTo(conn->id,
+                   eventError("request line exceeds 1 MiB"));
         if (st != ReadStatus::Ok)
             break;
         handleLine(conn, line);
@@ -220,22 +222,6 @@ jobSlots(const lab::Job &job)
     return 1;
 }
 
-/** Content fingerprint of an assembled program image. */
-std::string
-programFingerprint(const Program &prog)
-{
-    Fnv1a h;
-    h.add(&prog.text_base, sizeof(prog.text_base));
-    if (!prog.text.empty())
-        h.add(prog.text.data(),
-              prog.text.size() * sizeof(prog.text[0]));
-    h.add(&prog.data_base, sizeof(prog.data_base));
-    if (!prog.data.empty())
-        h.add(prog.data.data(), prog.data.size());
-    h.add(&prog.entry, sizeof(prog.entry));
-    return hashToHex(h.digest());
-}
-
 } // namespace
 
 bool
@@ -244,26 +230,18 @@ Server::admitLint(const std::vector<lab::Job> &jobs,
 {
     // (workload, slots) pairs already handled this submission; a
     // sweep expands one workload into hundreds of grid cells and
-    // must instantiate it once, not per cell.
+    // must look each up once, not per cell. The same string keys
+    // the verdict memo: the canonical workload is the program's
+    // identity (the result cache trusts it too), so a known program
+    // is neither re-assembled nor re-analysed.
     std::set<std::string> seen;
     for (const lab::Job &job : jobs) {
         const int slots = jobSlots(job);
-        if (!seen
-                 .insert(job.workload.canonical() + "@" +
-                         std::to_string(slots))
-                 .second)
+        const auto [pos, fresh] = seen.insert(
+            job.workload.canonical() + "@" + std::to_string(slots));
+        if (!fresh)
             continue;
-
-        Workload w;
-        try {
-            w = lab::instantiate(job.workload);
-        } catch (const std::exception &) {
-            // Unknown kinds/params surface through the expand or
-            // worker path with their own error reporting.
-            continue;
-        }
-        const std::string key = programFingerprint(w.program) +
-                                "@" + std::to_string(slots);
+        const std::string &key = *pos;
 
         bool cached = false;
         std::string verdict;
@@ -279,6 +257,14 @@ Server::admitLint(const std::vector<lab::Job> &jobs,
             std::lock_guard<std::mutex> lock(stats_mutex_);
             ++stats_.lint_cache_hits;
         } else {
+            Workload w;
+            try {
+                w = lab::instantiate(job.workload);
+            } catch (const std::exception &) {
+                // Unknown kinds/params surface through the expand
+                // or worker path with their own error reporting.
+                continue;
+            }
             analysis::LintOptions lopts;
             lopts.slots = slots;
             const analysis::LintReport lr =
@@ -291,8 +277,7 @@ Server::admitLint(const std::vector<lab::Job> &jobs,
                           analysis::formatText(
                               lr, job.workload.kind + ".s");
             }
-            std::lock_guard<std::mutex> lock(lint_mutex_);
-            lint_verdicts_[key] = verdict;
+            rememberVerdict(key, verdict);
         }
         if (!verdict.empty()) {
             *why = verdict;
@@ -300,6 +285,22 @@ Server::admitLint(const std::vector<lab::Job> &jobs,
         }
     }
     return true;
+}
+
+void
+Server::rememberVerdict(const std::string &key,
+                        const std::string &verdict)
+{
+    std::lock_guard<std::mutex> lock(lint_mutex_);
+    if (!lint_verdicts_.emplace(key, verdict).second)
+        return;     // a concurrent admission got here first
+    lint_order_.push_back(key);
+    // Distinct workloads are client-controlled: keep the memo
+    // bounded by forgetting the oldest verdicts first.
+    while (lint_verdicts_.size() > kMaxLintVerdicts) {
+        lint_verdicts_.erase(lint_order_.front());
+        lint_order_.pop_front();
+    }
 }
 
 void
@@ -339,7 +340,7 @@ Server::handleSubmit(const std::shared_ptr<Connection> &conn,
     // deadlocks (or is otherwise broken) must not consume a queue
     // slot or a worker. Runs before any cache probe so rejection
     // cost is one lint per distinct workload, amortized by the
-    // fingerprint verdict cache across submissions.
+    // verdict memo across submissions.
     if (opts_.lint_admission) {
         std::string lint_why;
         if (!admitLint(jobs, &lint_why)) {
@@ -393,13 +394,14 @@ Server::handleSubmit(const std::shared_ptr<Connection> &conn,
         } else if (!queue_.canAccept(slots_needed)) {
             shed = true;
             shed_depth = queue_.depth();
-        } else {
+        } else if (!misses.empty()) {
             token = next_submission_++;
             Submission &sub = submissions_[token];
             sub.conn = conn->id;
             sub.id = id;
             sub.total = jobs.size();
             sub.pending = jobs.size();
+            sub.cache_hits = hits.size();
 
             std::vector<QueuedJob> batch;
             for (QueuedJob &qj : misses) {
@@ -440,32 +442,20 @@ Server::handleSubmit(const std::shared_ptr<Connection> &conn,
         stats_.cache_hits += hits.size();
     }
 
-    sendTo(conn->id, eventAccepted(id, jobs.size()));
-
-    // Stream admission-time cache hits; the last one may complete
-    // the submission.
-    for (lab::JobResult &r : hits) {
-        sendTo(conn->id, eventResult(id, r, "cache"));
-        std::string done_line;
-        {
-            std::lock_guard<std::mutex> lock(sched_mutex_);
-            auto it = submissions_.find(token);
-            if (it == submissions_.end())
-                break;
-            Submission &sub = it->second;
-            ++sub.cache_hits;
-            if (!r.ok)
-                ++sub.failures;
-            if (--sub.pending == 0) {
-                done_line =
-                    eventDone(sub.id, sub.total, sub.failures,
-                              sub.cache_hits, sub.coalesced);
-                submissions_.erase(it);
-            }
-        }
-        if (!done_line.empty())
-            sendTo(conn->id, done_line);
+    // The admission answer goes out in one write: accepted, then
+    // every admission-time cache hit, then done when nothing missed
+    // (no dispatcher knows such a submission, so it is complete).
+    std::string burst = eventAccepted(id, jobs.size());
+    for (const lab::JobResult &r : hits)
+        burst += eventResult(id, r, "cache");
+    if (misses.empty()) {
+        burst += eventDone(id, jobs.size(), 0, hits.size(), 0);
+        sendTo(conn->id, burst);
+        return;
     }
+    sendTo(conn->id, burst);
+    if (!hits.empty())
+        countWritten(token, hits.size());
 }
 
 void
@@ -525,6 +515,7 @@ Server::publish(const std::string &key,
     struct Delivery
     {
         std::uint64_t conn;
+        std::uint64_t submission;
         std::string line;
     };
     std::vector<Delivery> deliveries;
@@ -552,14 +543,7 @@ Server::publish(const std::string &key,
             if (!r.ok)
                 ++sub.failures;
             deliveries.push_back(
-                {sub.conn, eventResult(sub.id, r, src)});
-            if (--sub.pending == 0) {
-                deliveries.push_back(
-                    {sub.conn,
-                     eventDone(sub.id, sub.total, sub.failures,
-                               sub.cache_hits, sub.coalesced)});
-                submissions_.erase(it);
-            }
+                {sub.conn, w.submission, eventResult(sub.id, r, src)});
         }
     }
     if (coalesced > 0 || source == "cache") {
@@ -570,6 +554,30 @@ Server::publish(const std::string &key,
     }
     for (const Delivery &d : deliveries)
         sendTo(d.conn, d.line);
+    for (const Delivery &d : deliveries)
+        countWritten(d.submission, 1);
+}
+
+void
+Server::countWritten(std::uint64_t token, std::size_t n)
+{
+    std::uint64_t conn = 0;
+    std::string done_line;
+    {
+        std::lock_guard<std::mutex> lock(sched_mutex_);
+        auto it = submissions_.find(token);
+        if (it == submissions_.end())
+            return;
+        Submission &sub = it->second;
+        sub.pending -= n;
+        if (sub.pending > 0)
+            return;
+        conn = sub.conn;
+        done_line = eventDone(sub.id, sub.total, sub.failures,
+                              sub.cache_hits, sub.coalesced);
+        submissions_.erase(it);
+    }
+    sendTo(conn, done_line);
 }
 
 void
@@ -594,6 +602,10 @@ Server::stats() const
     {
         std::lock_guard<std::mutex> lock(stats_mutex_);
         s = stats_;
+    }
+    {
+        std::lock_guard<std::mutex> lock(lint_mutex_);
+        s.lint_verdicts = lint_verdicts_.size();
     }
     if (pool_) {
         const WorkerPoolStats ps = pool_->stats();
@@ -655,6 +667,7 @@ Server::statsJson() const
     j.set("rejected", Json(s.rejected));
     j.set("lint_rejected", Json(s.lint_rejected));
     j.set("lint_cache_hits", Json(s.lint_cache_hits));
+    j.set("lint_verdicts", Json(s.lint_verdicts));
     j.set("retries", Json(s.retries));
     j.set("worker_restarts", Json(s.worker_restarts));
     {

@@ -12,7 +12,8 @@
  * Life of a submission:
  *   1. admission — the spec is parsed (strict: unknown members are
  *      rejected) and expanded into jobs; every job is probed against
- *      the cache (hits stream back immediately, source "cache");
+ *      the cache; "accepted" and every hit (source "cache") go back
+ *      in one write, with "done" when nothing missed;
  *      remaining misses either all fit in the queue or the whole
  *      submission is shed with an "overloaded" event. Misses whose
  *      key is already in flight register as single-flight waiters
@@ -26,8 +27,9 @@
  *      the worker pool, store ok results, and publish to every
  *      waiter of the key (leader sees source "sim"/"cache",
  *      coalesced waiters see "dedup").
- *   3. completion — when a submission's last job publishes, a
- *      "done" event with aggregate counters closes it out.
+ *   3. completion — a result counts once it is written; the thread
+ *      that writes a submission's last result then sends a "done"
+ *      event with aggregate counters, so done follows every result.
  *
  * Locking: one scheduling mutex covers {FairQueue, SingleFlight,
  * submissions} — admission and publication must see the three in a
@@ -42,11 +44,13 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "base/json.hh"
@@ -83,8 +87,8 @@ struct ServeOptions
     /**
      * Lint every distinct workload program at admission and reject
      * submissions whose program has error-level diagnostics before
-     * they consume a queue slot or a worker. Verdicts are cached in
-     * memory by program fingerprint (see docs/ANALYSIS.md).
+     * they consume a queue slot or a worker. Verdicts are memoized
+     * by canonical workload + slots (see docs/ANALYSIS.md).
      */
     bool lint_admission = true;
 };
@@ -105,8 +109,10 @@ struct ServerStats
     /** Submissions rejected by the admission lint gate (also
      *  counted in rejected). */
     std::uint64_t lint_rejected = 0;
-    /** Admission lint verdicts served from the fingerprint cache. */
+    /** Admission lint verdicts served from the verdict memo. */
     std::uint64_t lint_cache_hits = 0;
+    /** Verdicts held in the memo now (a gauge, not a counter). */
+    std::uint64_t lint_verdicts = 0;
     std::uint64_t retries = 0;
     std::uint64_t worker_restarts = 0;
 };
@@ -126,6 +132,10 @@ struct ServerHistograms
 class Server
 {
   public:
+    /** Bound on the admission lint verdict memo: distinct workloads
+     *  are client-controlled, so the memo must not grow with them. */
+    static constexpr std::size_t kMaxLintVerdicts = 4096;
+
     explicit Server(ServeOptions opts);
     ~Server();
 
@@ -189,9 +199,9 @@ class Server
      * Admission lint gate: statically verify every distinct
      * workload program in @p jobs at its job's slot count. @return
      * false with *why describing the diagnostics when any program
-     * has error-level findings. Verdicts are cached by program
-     * fingerprint + slot count, so a resubmission of a known
-     * program never re-instantiates the analysis.
+     * has error-level findings. Verdicts are memoized by canonical
+     * workload + slot count, so a resubmission of a known workload
+     * neither assembles nor analyses its program again.
      */
     bool admitLint(const std::vector<lab::Job> &jobs,
                    std::string *why);
@@ -204,6 +214,19 @@ class Server
     void publish(const std::string &key,
                  const lab::JobResult &result,
                  const std::string &source);
+
+    /**
+     * Count @p n result events of submission @p token as written.
+     * A result counts only after its write, so whichever thread
+     * writes a submission's last result also sends its done, and
+     * done never overtakes a result on the wire.
+     */
+    void countWritten(std::uint64_t token, std::size_t n);
+
+    /** Memoize one admission lint verdict, evicting the oldest
+     *  beyond kMaxLintVerdicts. */
+    void rememberVerdict(const std::string &key,
+                         const std::string &verdict);
 
     /** Write one event line to a connection (drops if it's gone). */
     void sendTo(std::uint64_t conn_id, const std::string &line);
@@ -246,10 +269,12 @@ class Server
     ServerStats stats_;
     ServerHistograms hists_;
 
-    /** Admission lint verdicts by "fingerprint@slots"; the value is
-     *  the rejection reason ("" = clean). */
+    /** Admission lint verdicts by "<canonical workload>@<slots>";
+     *  the value is the rejection reason ("" = clean). At most
+     *  kMaxLintVerdicts, oldest evicted first (lint_order_). */
     mutable std::mutex lint_mutex_;
-    std::map<std::string, std::string> lint_verdicts_;
+    std::unordered_map<std::string, std::string> lint_verdicts_;
+    std::deque<std::string> lint_order_;
 };
 
 } // namespace smtsim::serve

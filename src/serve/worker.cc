@@ -126,6 +126,9 @@ WorkerProcess::run(const lab::Job &job, double timeout_seconds,
       case ReadStatus::Error:
         *why = "read error from worker";
         return RunOutcome::Crashed;
+      case ReadStatus::TooLong:
+        *why = "worker reply exceeds the line limit";
+        return RunOutcome::Crashed;
     }
 
     try {

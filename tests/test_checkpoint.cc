@@ -357,53 +357,271 @@ namespace
 {
 
 /**
- * Byte offset of thread slot 0's instruction-queue address list in
- * a checkpoint image (docs/OBSERVABILITY.md layout), and its length
- * through @p count.
+ * Byte offsets of the checkpoint fields the corruption tests
+ * rewrite, found by walking an image field by field
+ * (docs/OBSERVABILITY.md layout, src/core/checkpoint.cc order).
  */
-std::size_t
-slot0QueueOffset(const std::string &bytes, std::uint32_t *count)
+struct CkptLayout
+{
+    std::size_t slot0_frame = 0;        ///< i32
+    std::size_t slot0_queue = 0;        ///< slot 0's queue addresses
+    std::uint32_t slot0_queue_count = 0;
+    std::size_t slot0_window = 0;       ///< u32 window length
+    std::size_t sched0_units = 0;       ///< u32, first schedule unit
+    std::size_t sched0_standby = 0;     ///< u32, first schedule unit
+    std::size_t pushes = 0;             ///< u32 pending-push count
+    std::size_t pushes_end = 0;         ///< just past the pushes
+    std::size_t ring = 0;               ///< first i32 of the ring
+    std::size_t unit_busy = 0;          ///< u32, first non-empty class
+};
+
+/** Serialized sizes: Insn is u16 op + 3 u8 registers + i32 imm;
+ *  IssuedOp adds pc, slot, 2 u32 + 2 f64 operands, arrive and a
+ *  flag. Slot::wb_ring has 64 bins of u64 + i32. */
+constexpr std::size_t kInsnBytes = 2 + 3 + 4;
+constexpr std::size_t kIssuedOpBytes = kInsnBytes + 4 + 4 + 8 + 16 +
+                                       8 + 1;
+constexpr std::size_t kWbRingBytes = 64 * (8 + 4);
+
+CkptLayout
+walkCheckpoint(const std::string &bytes)
 {
     std::istringstream is(bytes);
     obs::ByteReader r(is);
-    r.u64();    // magic
-    r.u32();    // version
-    r.u64();    // fingerprint
-    r.u64();    // cycle
+    const auto at = [&is] {
+        return static_cast<std::size_t>(is.tellg());
+    };
+    const auto skip = [&r](std::size_t n) {
+        for (std::size_t i = 0; i < n; ++i)
+            r.u8();
+    };
+    CkptLayout l;
+
+    skip(8 + 4 + 8 + 8);        // magic, version, fingerprint, cycle
     const std::uint32_t nctx = r.u32();
     for (std::uint32_t f = 0; f < nctx; ++f) {
-        r.u8();                     // state
-        r.u32();                    // resume pc
-        for (int i = 0; i < kNumRegs; ++i)
-            r.u32();
-        for (int i = 0; i < kNumRegs; ++i)
-            r.u64();
-        for (int i = 0; i < 4; ++i) {
-            r.b();                  // queue mapping present
-            r.u8();                 // register
-        }
-        const std::uint32_t nreplay = r.u32();
-        for (std::uint32_t i = 0; i < nreplay; ++i) {
-            r.u16();
-            r.u8();
-            r.u8();
-            r.u8();
-            r.u32();                // imm
-            r.u32();                // pc
-        }
-        r.u64();                    // ready_at
-        r.b();
-        r.u32();                    // satisfied address
-        r.u64();                    // retired instructions
+        // state, resume pc, registers, four queue mappings
+        skip(1 + 4 + 4 * kNumRegs + 8 * kNumRegs + 4 * 2);
+        skip(r.u32() * (kInsnBytes + 4));       // replay entries
+        skip(8 + 1 + 4 + 8);    // ready_at, satisfied addr, insns
     }
-    r.u32();                        // slot count
-    r.i32();                        // slot 0 frame
-    r.b();                          // trap pending
-    *count = r.u32();
-    return static_cast<std::size_t>(is.tellg());
+
+    const std::uint32_t nslots = r.u32();
+    for (std::uint32_t s = 0; s < nslots; ++s) {
+        if (s == 0)
+            l.slot0_frame = at();
+        skip(4 + 1);            // frame, trap pending
+        const std::uint32_t niq = r.u32();
+        if (s == 0) {
+            l.slot0_queue = at();
+            l.slot0_queue_count = niq;
+        }
+        skip(4 * niq);
+        skip(4 + 1);            // fetch address, fetch in flight
+        if (s == 0)
+            l.slot0_window = at();
+        skip(r.u32() * (kInsnBytes + 4 + 1));
+        // d2_allowed, scoreboards, ungranted counts, push pending
+        skip(8 + 16 * kNumRegs + 4 + 4 * kNumFuClasses + 4 + 4);
+        skip(kWbRingBytes);
+    }
+
+    const std::uint32_t nports = r.u32();
+    for (std::uint32_t p = 0; p < nports; ++p) {
+        skip(8);                // free_at
+        skip(r.u32() * (4 + 4 + 4 + 1 + 8));
+        skip(4);                // round-robin pointer
+    }
+
+    const std::uint32_t nsched = r.u32();
+    for (std::uint32_t u = 0; u < nsched; ++u) {
+        if (u == 0)
+            l.sched0_units = at();
+        skip(8 * r.u32());
+        if (u == 0)
+            l.sched0_standby = at();
+        const std::uint32_t ns = r.u32();
+        for (std::uint32_t i = 0; i < ns; ++i)
+            if (r.b())
+                skip(kIssuedOpBytes);
+        skip(r.u32() * kIssuedOpBytes);
+    }
+    const std::uint32_t nlinks = r.u32();
+    for (std::uint32_t i = 0; i < nlinks; ++i) {
+        skip(8 * r.u32());
+        skip(4);                // reserved
+    }
+    l.pushes = at();
+    skip(r.u32() * (8 + 4 + 8));
+    l.pushes_end = at();
+
+    const std::uint32_t nring = r.u32();
+    l.ring = at();
+    skip(4 * nring);
+    // rotate flag, mode, interval, last activity, now, finished
+    skip(1 + 1 + 4 + 8 + 8 + 1);
+    skip(4 * r.u32());          // ready fifo
+
+    // RunStats up to unit_busy: cycles, insns, finished, grants,
+    // busy.
+    skip(8 + 8 + 1 + 16 * kNumFuClasses);
+    for (int c = 0; c < kNumFuClasses; ++c) {
+        const std::size_t pos = at();
+        const std::uint32_t n = r.u32();
+        if (n > 0 && l.unit_busy == 0)
+            l.unit_busy = pos;
+        skip(8 * n);
+    }
+    return l;
 }
 
+void
+putU32(std::string &bytes, std::size_t off, std::uint32_t v)
+{
+    for (int i = 0; i < 4; ++i)
+        bytes[off + i] = static_cast<char>(v >> (8 * i));
+}
+
+std::uint32_t
+getU32(const std::string &bytes, std::size_t off)
+{
+    std::uint32_t v = 0;
+    for (int i = 0; i < 4; ++i)
+        v |= static_cast<std::uint32_t>(
+                 static_cast<unsigned char>(bytes[off + i]))
+             << (8 * i);
+    return v;
+}
+
+/** A matmul n=4 checkpoint taken at cycle 60 and its layout. */
+struct MatmulCheckpoint
+{
+    Workload w;
+    CoreConfig cfg;
+    std::string bytes;
+    CkptLayout layout;
+
+    MatmulCheckpoint()
+    {
+        MatmulParams mp;
+        mp.n = 4;
+        w = makeMatmul(mp);
+        cfg.max_cycles = 100'000;
+        MainMemory mem;
+        initMemory(w, mem);
+        MultithreadedProcessor cpu(w.program, mem, cfg);
+        cpu.runUntil(60);
+        std::ostringstream os;
+        cpu.saveCheckpoint(os);
+        bytes = os.str();
+        layout = walkCheckpoint(bytes);
+    }
+
+    /** Restoring @p image must throw std::runtime_error whose
+     *  message names @p needle — not crash, abort or panic. */
+    void
+    expectRejected(const std::string &image, const char *needle) const
+    {
+        std::istringstream is(image);
+        MainMemory mem;
+        MultithreadedProcessor fresh(w.program, mem, cfg);
+        try {
+            fresh.restoreCheckpoint(is);
+            ADD_FAILURE() << "corrupt image accepted (" << needle
+                          << ")";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find(needle),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+};
+
 } // namespace
+
+TEST(CheckpointCorruption, TheUntouchedImageRestores)
+{
+    const MatmulCheckpoint c;
+    std::istringstream is(c.bytes);
+    MainMemory mem;
+    MultithreadedProcessor fresh(c.w.program, mem, c.cfg);
+    EXPECT_NO_THROW(fresh.restoreCheckpoint(is));
+}
+
+TEST(CheckpointCorruption, SlotFrameOutOfRange)
+{
+    const MatmulCheckpoint c;
+    for (const int frame : {c.cfg.frames(), 1 << 20, -2}) {
+        std::string bad = c.bytes;
+        putU32(bad, c.layout.slot0_frame,
+               static_cast<std::uint32_t>(frame));
+        c.expectRejected(bad, "bad slot frame");
+    }
+}
+
+TEST(CheckpointCorruption, UnitBusySizeDiffersFromUnitCount)
+{
+    const MatmulCheckpoint c;
+    ASSERT_NE(c.layout.unit_busy, 0u);
+    for (const std::uint32_t n :
+         {getU32(c.bytes, c.layout.unit_busy) + 1, 0x7fffffffu}) {
+        std::string bad = c.bytes;
+        putU32(bad, c.layout.unit_busy, n);
+        c.expectRejected(bad, "unit_busy shape");
+    }
+}
+
+TEST(CheckpointCorruption, WindowLongerThanWidth)
+{
+    const MatmulCheckpoint c;
+    std::string bad = c.bytes;
+    putU32(bad, c.layout.slot0_window,
+           static_cast<std::uint32_t>(c.cfg.width + 1));
+    c.expectRejected(bad, "window over width");
+}
+
+TEST(CheckpointCorruption, PendingPushSlotOutOfRange)
+{
+    const MatmulCheckpoint c;
+    // Append one well-formed push (at, slot, value) naming a slot
+    // past the machine, so only its slot field is wrong.
+    for (const int slot : {c.cfg.num_slots, -1}) {
+        std::string bad = c.bytes;
+        putU32(bad, c.layout.pushes,
+               getU32(bad, c.layout.pushes) + 1);
+        std::string push(8 + 4 + 8, '\0');
+        putU32(push, 8, static_cast<std::uint32_t>(slot));
+        bad.insert(c.layout.pushes_end, push);
+        c.expectRejected(bad, "pending-push slot");
+    }
+}
+
+TEST(CheckpointCorruption, PriorityRingNotAPermutation)
+{
+    const MatmulCheckpoint c;
+    ASSERT_GE(c.cfg.num_slots, 2);
+    std::string duplicate = c.bytes;
+    putU32(duplicate, c.layout.ring + 4,
+           getU32(c.bytes, c.layout.ring));
+    c.expectRejected(duplicate, "not a permutation");
+    std::string outside = c.bytes;
+    putU32(outside, c.layout.ring,
+           static_cast<std::uint32_t>(c.cfg.num_slots));
+    c.expectRejected(outside, "not a permutation");
+}
+
+TEST(CheckpointCorruption, ScheduleUnitShapeMismatch)
+{
+    const MatmulCheckpoint c;
+    std::string units = c.bytes;
+    putU32(units, c.layout.sched0_units,
+           getU32(c.bytes, c.layout.sched0_units) + 1);
+    c.expectRejected(units, "schedule-unit shape");
+    std::string standby = c.bytes;
+    putU32(standby, c.layout.sched0_standby,
+           getU32(c.bytes, c.layout.sched0_standby) + 1);
+    c.expectRejected(standby, "standby shape");
+}
 
 TEST(Checkpoint, RejectsNonContiguousInstructionQueue)
 {
@@ -425,7 +643,9 @@ TEST(Checkpoint, RejectsNonContiguousInstructionQueue)
         std::ostringstream os;
         cpu.saveCheckpoint(os);
         bytes = os.str();
-        off = slot0QueueOffset(bytes, &count);
+        const CkptLayout layout = walkCheckpoint(bytes);
+        off = layout.slot0_queue;
+        count = layout.slot0_queue_count;
     }
     ASSERT_GE(count, 2u) << "slot 0 never queued two words";
 

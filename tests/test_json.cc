@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <sstream>
+
 #include "base/json.hh"
 
 using namespace smtsim;
@@ -19,6 +24,63 @@ TEST(Json, ScalarRoundTrip)
     EXPECT_EQ(Json(-7).dump(), "-7");
     EXPECT_EQ(Json("hi").dump(), "\"hi\"");
     EXPECT_EQ(Json(1.5).dump(), "1.5");
+    // Exact bytes: integers, %.17g doubles, non-finite as null.
+    EXPECT_EQ(Json(-42).dump(), "-42");
+    EXPECT_EQ(Json(std::numeric_limits<std::int64_t>::max()).dump(),
+              "9223372036854775807");
+    EXPECT_EQ(Json(std::numeric_limits<std::int64_t>::min()).dump(),
+              "-9223372036854775808");
+    EXPECT_EQ(Json(0.1).dump(), "0.10000000000000001");
+    EXPECT_EQ(Json(1e300).dump(), "1.0000000000000001e+300");
+    EXPECT_EQ(Json(-0.0).dump(), "-0");
+    EXPECT_EQ(Json(std::nan("")).dump(), "null");
+    EXPECT_EQ(
+        Json(std::numeric_limits<double>::infinity()).dump(2),
+        "null");
+}
+
+TEST(Json, ExactBytesCompactAndPretty)
+{
+    Json doc = Json::object();
+    doc.set("neg", Json(-42));
+    doc.set("min", Json(std::numeric_limits<std::int64_t>::min()));
+    doc.set("tenth", Json(0.1));
+    doc.set("nan", Json(std::nan("")));
+    doc.set("ctl",
+            Json(std::string("\x00\x01\x1f\b\t\n\f\r\"\\/\x7f", 12)));
+    doc.set("k\x02\"ey", Json::array());
+    Json arr = Json::array();
+    arr.push(Json());
+    arr.push(Json(true));
+    arr.push(Json::object());
+    arr.push(Json(1.5));
+    doc.set("arr", std::move(arr));
+
+    EXPECT_EQ(doc.dump(),
+              "{\"neg\":-42,\"min\":-9223372036854775808,"
+              "\"tenth\":0.10000000000000001,\"nan\":null,"
+              "\"ctl\":\"\\u0000\\u0001\\u001f"
+              "\\b\\t\\n\\f\\r\\\"\\\\/\x7f\","
+              "\"k\\u0002\\\"ey\":[],\"arr\":[null,true,{},1.5]}");
+    EXPECT_EQ(doc.dump(2),
+              "{\n"
+              "  \"neg\": -42,\n"
+              "  \"min\": -9223372036854775808,\n"
+              "  \"tenth\": 0.10000000000000001,\n"
+              "  \"nan\": null,\n"
+              "  \"ctl\": \"\\u0000\\u0001\\u001f"
+              "\\b\\t\\n\\f\\r\\\"\\\\/\x7f\",\n"
+              "  \"k\\u0002\\\"ey\": [],\n"
+              "  \"arr\": [\n"
+              "    null,\n"
+              "    true,\n"
+              "    {},\n"
+              "    1.5\n"
+              "  ]\n"
+              "}");
+    std::ostringstream os;
+    doc.write(os, 2);
+    EXPECT_EQ(os.str(), doc.dump(2));
 }
 
 TEST(Json, LargeIntegersStayExact)
@@ -26,6 +88,14 @@ TEST(Json, LargeIntegersStayExact)
     const std::uint64_t big = 2'000'000'000ull * 3;   // > 2^32
     const Json j = Json::parse(Json(big).dump());
     EXPECT_EQ(j.asU64(), big);
+    // int64 extremes parse as integers; one past them is a double.
+    EXPECT_EQ(Json::parse("-9223372036854775808").type(),
+              Json::Type::Int);
+    EXPECT_EQ(Json::parse("9223372036854775807").asInt(),
+              std::numeric_limits<std::int64_t>::max());
+    EXPECT_EQ(Json::parse("9223372036854775808").type(),
+              Json::Type::Double);
+    EXPECT_EQ(Json::parse("-12").asInt(), -12);
 }
 
 TEST(Json, ObjectPreservesInsertionOrder)

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -804,6 +805,165 @@ TEST(ServeServer, WarmCacheSweepLargerThanQueueIsServed)
         EXPECT_EQ(src, "cache");
     EXPECT_EQ(server.stats().rejected, 0u);
     EXPECT_EQ(server.stats().overloaded, 0u);
+    server.stop();
+}
+
+TEST(ServeServer, MixedSubmissionSendsEveryResultBeforeDone)
+{
+    TempDir tmp("mixed");
+    Server server(serverOptions(tmp));
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+
+    Client client;
+    ASSERT_TRUE(client.connect(tmp.str("serve.sock"), &error))
+        << error;
+    const SubmitOutcome warm =
+        client.submitAndWait("warm", smallSpec(8, {1, 2}), 30000);
+    ASSERT_EQ(warm.status, "done") << warm.error;
+
+    // Two cached jobs and two that must simulate: the hits go out
+    // with "accepted", the misses later, and "done" only after all.
+    const SubmitOutcome mixed = client.submitAndWait(
+        "mixed", smallSpec(8, {1, 2, 3, 4}), 30000);
+    ASSERT_EQ(mixed.status, "done") << mixed.error;
+    EXPECT_EQ(mixed.jobs, 4u);
+    EXPECT_EQ(mixed.results.size(), 4u);
+    EXPECT_EQ(mixed.cache_hits, 2u);
+    EXPECT_EQ(std::count(mixed.sources.begin(), mixed.sources.end(),
+                         "cache"),
+              2);
+    EXPECT_EQ(std::count(mixed.sources.begin(), mixed.sources.end(),
+                         "sim"),
+              2);
+
+    // Now every job is cached: the whole answer is one burst.
+    const SubmitOutcome all = client.submitAndWait(
+        "all-hit", smallSpec(8, {1, 2, 3, 4}), 30000);
+    ASSERT_EQ(all.status, "done") << all.error;
+    EXPECT_EQ(all.jobs, 4u);
+    EXPECT_EQ(all.results.size(), 4u);
+    EXPECT_EQ(all.cache_hits, 4u);
+    EXPECT_EQ(all.failures, 0u);
+    for (const std::string &src : all.sources)
+        EXPECT_EQ(src, "cache");
+
+    // Concurrent mixed submissions: each client's spec has a cached
+    // job and one of its own to simulate. Whichever thread writes a
+    // submission's last result, done must come after every result.
+    for (int round = 0; round < 3; ++round) {
+        std::vector<std::future<SubmitOutcome>> futures;
+        for (int c = 0; c < 4; ++c) {
+            futures.push_back(std::async(std::launch::async, [&, c] {
+                ExperimentSpec spec;
+                spec.name = "mix";
+                spec.workloads = {
+                    WorkloadSpec::matmul(8),
+                    WorkloadSpec::bsearch(64, 12, 100 + 4 * round + c)};
+                spec.slots = {1};
+                Client each;
+                std::string err;
+                if (!each.connect(tmp.str("serve.sock"), &err)) {
+                    SubmitOutcome bad;
+                    bad.error = err;
+                    return bad;
+                }
+                return each.submitAndWait(
+                    "mix-" + std::to_string(c), spec, 30000);
+            }));
+        }
+        for (auto &f : futures) {
+            const SubmitOutcome out = f.get();
+            ASSERT_EQ(out.status, "done") << out.error;
+            EXPECT_EQ(out.jobs, 2u);
+            EXPECT_EQ(out.results.size(), 2u);
+            EXPECT_EQ(out.cache_hits, 1u);
+        }
+    }
+    server.stop();
+}
+
+TEST(ServeServer, OverlongRequestLineIsRefusedAndOthersServed)
+{
+    TempDir tmp("longline");
+    Server server(serverOptions(tmp, 1));
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+
+    Client hostile;
+    ASSERT_TRUE(hostile.connect(tmp.str("serve.sock"), &error))
+        << error;
+    // 2 MiB without a newline until the end. The daemon stops
+    // reading past 1 MiB and hangs up, so the rest of the send may
+    // fail; the error event is already queued for us by then.
+    (void)hostile.sendRaw(std::string(2u << 20, 'x') + "\n");
+    Event ev;
+    ASSERT_EQ(hostile.readEvent(&ev, 10000), ReadStatus::Ok);
+    EXPECT_EQ(ev.type, "error");
+    EXPECT_NE(ev.error.find("request line exceeds 1 MiB"),
+              std::string::npos)
+        << ev.error;
+    EXPECT_NE(hostile.readEvent(&ev, 10000), ReadStatus::Ok)
+        << "connection left open after an over-long line";
+
+    Client other;
+    ASSERT_TRUE(other.connect(tmp.str("serve.sock"), &error))
+        << error;
+    EXPECT_TRUE(other.ping(&error)) << error;
+    const SubmitOutcome out =
+        other.submitAndWait("after", smallSpec(8, {1}), 30000);
+    EXPECT_EQ(out.status, "done") << out.error;
+    server.stop();
+}
+
+TEST(ServeServer, LintVerdictMemoStaysBounded)
+{
+    TempDir tmp("lintcap");
+    ServeOptions opts = serverOptions(tmp, 1);
+    opts.queue_max = 1;     // every batch below is refused after lint
+    Server server(std::move(opts));
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+
+    Client client;
+    ASSERT_TRUE(client.connect(tmp.str("serve.sock"), &error))
+        << error;
+    ExperimentSpec bad;
+    bad.name = "bad";
+    bad.workloads = {WorkloadSpec::tokenRing(8, 1)};
+    bad.slots = {4};
+    SubmitOutcome out = client.submitAndWait("bad", bad, 10000);
+    ASSERT_EQ(out.status, "rejected");
+    EXPECT_NE(out.error.find("Q009"), std::string::npos) << out.error;
+
+    // Cap + 8 distinct clean workloads, each at two slot counts.
+    // Each submission is linted, then rejected for needing more
+    // queue than exists, so nothing simulates.
+    for (std::size_t i = 0; i < Server::kMaxLintVerdicts + 8; ++i) {
+        ExperimentSpec spec;
+        spec.name = "distinct";
+        spec.workloads = {WorkloadSpec::bsearch(64, 12, 1000 + i)};
+        spec.slots = {1, 2};
+        out = client.submitAndWait("distinct", spec, 10000);
+        ASSERT_EQ(out.status, "rejected") << out.error;
+        ASSERT_NE(out.error.find("queue"), std::string::npos)
+            << out.error;
+        ASSERT_LE(server.stats().lint_verdicts,
+                  Server::kMaxLintVerdicts);
+    }
+    ServerStats s = server.stats();
+    EXPECT_EQ(s.lint_verdicts, Server::kMaxLintVerdicts);
+    EXPECT_EQ(s.lint_cache_hits, 0u);
+
+    // The deadlocked ring's verdict was the oldest, so it is gone:
+    // the ring is analysed again and still rejected.
+    out = client.submitAndWait("bad-again", bad, 10000);
+    EXPECT_EQ(out.status, "rejected");
+    EXPECT_NE(out.error.find("Q009"), std::string::npos) << out.error;
+    s = server.stats();
+    EXPECT_EQ(s.lint_cache_hits, 0u);
+    EXPECT_EQ(s.lint_rejected, 2u);
+    EXPECT_LE(s.lint_verdicts, Server::kMaxLintVerdicts);
     server.stop();
 }
 
