@@ -8,7 +8,7 @@
  */
 
 #include "bench_common.hh"
-#include "core/processor.hh"
+#include "paper/paper.hh"
 #include "trace/synth.hh"
 
 using namespace smtsim;
@@ -20,16 +20,11 @@ namespace
 Cycle
 runSynth(const Program &prog, int slots, bool standby)
 {
-    MainMemory mem;
-    prog.loadInto(mem);
     CoreConfig cfg;
     cfg.num_slots = slots;
     cfg.standby_enabled = standby;
-    MultithreadedProcessor cpu(prog, mem, cfg);
-    const RunStats s = cpu.run();
-    if (!s.finished)
-        std::exit(1);
-    return s.cycles;
+    const Workload synth{"synthetic", prog, nullptr, nullptr};
+    return mustRun(runCore(synth, cfg), "synthetic").cycles;
 }
 
 } // namespace
@@ -43,7 +38,8 @@ main()
                   "without standby", "gain %"});
 
     // Ray tracing (the paper's Table 2 columns).
-    const Workload ray = standardRayTrace();
+    const Workload ray =
+        lab::instantiate(paper::rayTraceSpec(paper::Size::Paper));
     for (int slots : {2, 4, 8}) {
         CoreConfig cfg;
         cfg.num_slots = slots;

@@ -29,26 +29,6 @@
 namespace smtsim::bench
 {
 
-/** Standard ray-tracing workload used by the Table 2/3 benches. */
-inline Workload
-standardRayTrace()
-{
-    RayTraceParams p;
-    p.width = 24;
-    p.height = 24;
-    p.num_spheres = 5;
-    p.seed = 42;
-    return makeRayTrace(p);
-}
-
-/** The same workload as a lab spec (identical parameters). */
-inline lab::WorkloadSpec
-standardRayTraceSpec()
-{
-    return lab::WorkloadSpec::rayTrace(/*width=*/24, /*height=*/24,
-                                       /*spheres=*/5, /*seed=*/42);
-}
-
 /**
  * Execution policy for the grid-sweep benches. Defaults: all host
  * cores, no cache (a stale cache must never alter published table
@@ -68,19 +48,6 @@ benchLabOptions()
     if (isatty(fileno(stderr)))
         opts.progress = lab::stderrProgress();
     return opts;
-}
-
-/** Fetch a sweep point's stats; abort loudly when it failed. */
-inline RunStats
-mustStats(const lab::ResultSet &rs, const std::string &id)
-{
-    const lab::JobResult *r = rs.find(id);
-    if (!r || !r->ok) {
-        std::cerr << "BENCH FAILURE (" << id << "): "
-                  << (r ? r->error : "job missing") << std::endl;
-        std::exit(1);
-    }
-    return r->stats;
 }
 
 /** Run and abort loudly if the outcome is wrong. */

@@ -11,6 +11,7 @@
 
 #include "bench_common.hh"
 #include "harness/analytic.hh"
+#include "paper/paper.hh"
 
 using namespace smtsim;
 using namespace smtsim::bench;
@@ -18,7 +19,8 @@ using namespace smtsim::bench;
 int
 main()
 {
-    const Workload ray = standardRayTrace();
+    const Workload ray =
+        lab::instantiate(paper::rayTraceSpec(paper::Size::Paper));
 
     for (int lsu : {1, 2}) {
         FuPoolConfig pool;

@@ -24,10 +24,31 @@ verify(const Workload &workload, const MainMemory &mem,
     return false;
 }
 
-} // namespace
+RunStats
+engineStats(RunStats stats)
+{
+    return stats;
+}
 
+/** The functional engines count steps, not cycles. */
+RunStats
+engineStats(const InterpResult &result)
+{
+    RunStats stats;
+    stats.instructions = result.steps;
+    stats.finished = result.completed;
+    return stats;
+}
+
+/**
+ * The steps every single-memory engine shares: load the program
+ * into fresh memory, run an Engine(program, mem, cfg) on it, then
+ * check that it finished and verify the outputs.
+ */
+template <class Engine, class Config>
 Outcome
-runCore(const Workload &workload, const CoreConfig &cfg)
+runVerified(const Workload &workload, const Config &cfg,
+            const char *unfinished)
 {
     Outcome out;
     MainMemory mem;
@@ -35,14 +56,23 @@ runCore(const Workload &workload, const CoreConfig &cfg)
     if (workload.init)
         workload.init(mem);
 
-    MultithreadedProcessor cpu(workload.program, mem, cfg);
-    out.stats = cpu.run();
+    Engine engine(workload.program, mem, cfg);
+    out.stats = engineStats(engine.run());
     if (!out.stats.finished) {
-        out.error = workload.name + ": cycle budget exhausted";
+        out.error = workload.name + ": " + unfinished;
         return out;
     }
     out.ok = verify(workload, mem, &out.error);
     return out;
+}
+
+} // namespace
+
+Outcome
+runCore(const Workload &workload, const CoreConfig &cfg)
+{
+    return runVerified<MultithreadedProcessor>(
+        workload, cfg, "cycle budget exhausted");
 }
 
 MachineOutcome
@@ -76,66 +106,24 @@ runMachine(const Workload &workload, const MachineConfig &cfg,
 Outcome
 runBaseline(const Workload &workload, const BaselineConfig &cfg)
 {
-    Outcome out;
-    MainMemory mem;
-    workload.program.loadInto(mem);
-    if (workload.init)
-        workload.init(mem);
-
-    BaselineProcessor cpu(workload.program, mem, cfg);
-    out.stats = cpu.run();
-    if (!out.stats.finished) {
-        out.error = workload.name + ": cycle budget exhausted";
-        return out;
-    }
-    out.ok = verify(workload, mem, &out.error);
-    return out;
+    return runVerified<BaselineProcessor>(workload, cfg,
+                                          "cycle budget exhausted");
 }
 
 Outcome
 runInterp(const Workload &workload, int num_threads)
 {
-    Outcome out;
-    MainMemory mem;
-    workload.program.loadInto(mem);
-    if (workload.init)
-        workload.init(mem);
-
-    InterpConfig cfg;
-    cfg.num_threads = num_threads;
-    Interpreter interp(workload.program, mem, cfg);
-    const InterpResult result = interp.run();
-    out.stats.instructions = result.steps;
-    out.stats.finished = result.completed;
-    if (!result.completed) {
-        out.error = workload.name + ": interpreter did not finish";
-        return out;
-    }
-    out.ok = verify(workload, mem, &out.error);
-    return out;
+    return runVerified<Interpreter>(
+        workload, InterpConfig{.num_threads = num_threads},
+        "interpreter did not finish");
 }
 
 Outcome
 runFast(const Workload &workload, int num_threads)
 {
-    Outcome out;
-    MainMemory mem;
-    workload.program.loadInto(mem);
-    if (workload.init)
-        workload.init(mem);
-
-    InterpConfig cfg;
-    cfg.num_threads = num_threads;
-    fastpath::FastEngine engine(workload.program, mem, cfg);
-    const InterpResult result = engine.run();
-    out.stats.instructions = result.steps;
-    out.stats.finished = result.completed;
-    if (!result.completed) {
-        out.error = workload.name + ": fast engine did not finish";
-        return out;
-    }
-    out.ok = verify(workload, mem, &out.error);
-    return out;
+    return runVerified<fastpath::FastEngine>(
+        workload, InterpConfig{.num_threads = num_threads},
+        "fast engine did not finish");
 }
 
 double

@@ -1,199 +1,130 @@
 /**
  * @file
- * Regression guards for the paper's headline results. Each test
- * pins the *shape* of one claim from the evaluation section with a
- * generous band, so a future change that silently breaks the
- * reproduction fails loudly here. Exact measured values are
- * recorded in EXPERIMENTS.md; the full sweeps live in bench/.
+ * Regression guards for the paper's headline results. Every shape
+ * predicate of every table in src/paper/ must hold on the small
+ * instances, and each table's predicates must reject a hand-edited
+ * table that breaks its claim. The bench binaries check the same
+ * predicates at paper size; EXPERIMENTS.md records the values.
  */
 
 #include <gtest/gtest.h>
 
 #include "harness/runner.hh"
-#include "sched/list_scheduler.hh"
+#include "paper/paper.hh"
 
 using namespace smtsim;
+using namespace smtsim::paper;
 
 namespace
 {
 
-Workload
-smallRayTrace()
+/** Each small table is measured once per test run. */
+template <class Table>
+const Table &
+small()
 {
-    RayTraceParams p;
-    p.width = 12;
-    p.height = 12;
-    p.num_spheres = 4;
-    return makeRayTrace(p);
+    static const Table table = measure<Table>(Size::Small);
+    return table;
 }
+
+/** Outcome of the predicate @p name on @p table. */
+template <class Table>
+bool
+holds(const Table &table, const std::string &name)
+{
+    for (const Check &c : check(table))
+        if (c.name == name)
+            return c.ok;
+    ADD_FAILURE() << "no predicate " << name;
+    return true;
+}
+
+template <class Table>
+class PaperTable : public testing::Test
+{};
+
+using Tables =
+    testing::Types<Table2, Table3, Table4, Table5, Utilization,
+                   CacheSweep, RotationSweep, PrivateIcache>;
+TYPED_TEST_SUITE(PaperTable, Tables);
 
 } // namespace
 
-TEST(PaperShapes, TwoThreadsRoughlyDoubleThroughput)
+TYPED_TEST(PaperTable, EveryPredicateHoldsOnTheSmallInstance)
 {
-    // Table 2: 1.79-2.02x with two thread slots.
-    const Workload ray = smallRayTrace();
-    const Outcome base = runBaseline(ray);
-    ASSERT_TRUE(base.ok);
-    CoreConfig cfg;
-    cfg.num_slots = 2;
-    cfg.fus.load_store = 2;
-    const Outcome core = runCore(ray, cfg);
-    ASSERT_TRUE(core.ok);
-    const double s = speedup(base.stats, core.stats);
-    EXPECT_GT(s, 1.6);
-    EXPECT_LT(s, 2.3);
+    const std::vector<Check> checks = check(small<TypeParam>());
+    EXPECT_FALSE(checks.empty());
+    for (const Check &c : checks)
+        EXPECT_TRUE(c.ok) << c.name << ": " << c.message;
 }
 
-TEST(PaperShapes, SingleSlotCoreLosesToBaseRisc)
+TEST(PaperShapes, Table2RejectsThreefoldTwoSlots)
 {
-    // Section 2.1.2: the deeper pipeline damages single-thread
-    // performance.
-    const Workload ray = smallRayTrace();
-    const Outcome base = runBaseline(ray);
-    CoreConfig cfg;
-    cfg.num_slots = 1;
-    const Outcome core = runCore(ray, cfg);
-    ASSERT_TRUE(base.ok && core.ok);
-    EXPECT_LT(speedup(base.stats, core.stats), 1.0);
+    Table2 t = small<Table2>();
+    ASSERT_EQ(t.cells[1].slots, 2);
+    t.cells[1].stats.cycles = t.base.cycles / 3;
+    EXPECT_FALSE(holds(t, "two-slots-about-2x"));
 }
 
-TEST(PaperShapes, OneLoadStoreUnitSaturates)
+TEST(PaperShapes, Table3RejectsWidthBeatingSlots)
 {
-    // Section 3.2: with one LS unit and eight slots the unit's
-    // utilization approaches 100% (paper: 99%) and adding the
-    // second unit buys real speed-up (paper: +10.4%..79.8%).
-    const Workload ray = smallRayTrace();
-    CoreConfig one;
-    one.num_slots = 8;
-    const Outcome o1 = runCore(ray, one);
-    ASSERT_TRUE(o1.ok);
-    EXPECT_GT(o1.stats.unitUtilization(FuClass::LoadStore, 0),
-              85.0);
-
-    CoreConfig two = one;
-    two.fus.load_store = 2;
-    const Outcome o2 = runCore(ray, two);
-    ASSERT_TRUE(o2.ok);
-    const double relief =
-        static_cast<double>(o1.stats.cycles) /
-        static_cast<double>(o2.stats.cycles);
-    EXPECT_GT(relief, 1.10);
+    Table3 t = small<Table3>();
+    for (auto &c : t.cells)
+        if (c.width == 2 && c.slots == 4)
+            c.stats.cycles = 1;     // (2,4) > (1,8)
+    EXPECT_FALSE(holds(t, "larger-s-wins"));
 }
 
-TEST(PaperShapes, ThreadSlotsBeatIssueWidth)
+TEST(PaperShapes, Table4RejectsBeatingTheMemoryFloor)
 {
-    // Table 3's conclusion: (1,4) outruns (4,1) for the same issue
-    // bandwidth and hardware budget.
-    const Workload ray = smallRayTrace();
-    const Outcome base = runBaseline(ray);
-    ASSERT_TRUE(base.ok);
-
-    CoreConfig smt;
-    smt.num_slots = 4;
-    smt.fus.load_store = 2;
-    const Outcome s_smt = runCore(ray, smt);
-
-    BaselineConfig wide;
-    wide.width = 4;
-    wide.fus.load_store = 2;
-    const Outcome s_wide = runBaseline(ray, wide);
-
-    ASSERT_TRUE(s_smt.ok && s_wide.ok);
-    EXPECT_GT(speedup(base.stats, s_smt.stats),
-              1.5 * speedup(base.stats, s_wide.stats));
+    Table4 t = small<Table4>();
+    t.cells.back().stats.cycles = 79 * t.iterations / 10;
+    EXPECT_FALSE(holds(t, "memory-floor"));
 }
 
-TEST(PaperShapes, Lk1SaturatesAtMemoryFloor)
+TEST(PaperShapes, Table5RejectsGainsPastFourSlots)
 {
-    // Table 4: cycles/iteration never drop below 8 (4 memory ops x
-    // issue latency 2) and reach the floor region by 8 slots.
-    Lk1Params p;
-    p.n = 96;
-    p.parallel = true;
-    const Workload w = makeLivermore1(p);
-    CoreConfig cfg;
-    cfg.num_slots = 8;
-    cfg.rotation_mode = RotationMode::Explicit;
-    const Outcome o = runCore(w, cfg);
-    ASSERT_TRUE(o.ok);
-    const double per_iter =
-        static_cast<double>(o.stats.cycles) / p.n;
-    EXPECT_GE(per_iter, 8.0);
-    EXPECT_LT(per_iter, 11.0);
+    Table5 t = small<Table5>();
+    t.cells.back().stats.cycles /= 2;
+    EXPECT_FALSE(holds(t, "flat-after-4"));
 }
 
-TEST(PaperShapes, StrategyANeverSlowerThanSourceOrder)
+TEST(PaperShapes, UtilizationRejectsAnUnsaturatedLsUnit)
 {
-    // Table 4: list scheduling (strategy A) improves or matches
-    // the non-optimized code at every slot count.
-    const ScheduleResult a = listSchedule(lk1LoopBody());
-    Lk1Params p;
-    p.n = 64;
-    p.parallel = true;
-    const Workload plain = makeLivermore1(p);
-    const Workload sched = makeLivermore1(p, &a.order);
-    for (int slots : {1, 2, 4}) {
-        CoreConfig cfg;
-        cfg.num_slots = slots;
-        cfg.rotation_mode = RotationMode::Explicit;
-        const Outcome po = runCore(plain, cfg);
-        const Outcome so = runCore(sched, cfg);
-        ASSERT_TRUE(po.ok && so.ok);
-        EXPECT_LE(so.stats.cycles, po.stats.cycles)
-            << "slots " << slots;
-    }
+    Utilization t = small<Utilization>();
+    for (auto &c : t.cells)
+        if (c.slots == 8 && c.lsu == 1)
+            c.stats.cycles *= 2;    // halves every utilization
+    EXPECT_FALSE(holds(t, "ls-saturates"));
 }
 
-TEST(PaperShapes, EagerExecutionShape)
+TEST(PaperShapes, CacheRejectsFullyExposedMisses)
 {
-    // Table 5: roughly 56 -> 32.5 -> 21.7 -> 17 cycles/iteration,
-    // i.e. speed-up ~1.7 / ~2.5 / ~3.3 at 2 / 3 / 4 slots, flat
-    // afterwards.
-    ListWalkParams p;
-    p.num_nodes = 150;
-    const Workload seq = makeListWalk(p);
-    p.eager = true;
-    const Workload eager = makeListWalk(p);
-    const Outcome base = runBaseline(seq);
-    ASSERT_TRUE(base.ok);
-
-    auto eager_speedup = [&](int slots) {
-        CoreConfig cfg;
-        cfg.num_slots = slots;
-        cfg.rotation_mode = RotationMode::Explicit;
-        const Outcome o = runCore(eager, cfg);
-        EXPECT_TRUE(o.ok) << o.error;
-        return speedup(base.stats, o.stats);
-    };
-    const double s2 = eager_speedup(2);
-    const double s3 = eager_speedup(3);
-    const double s4 = eager_speedup(4);
-    const double s8 = eager_speedup(8);
-    EXPECT_GT(s2, 1.4);
-    EXPECT_GT(s3, s2);
-    EXPECT_GT(s4, s3);
-    // Saturation: 8 slots buy almost nothing over 4.
-    EXPECT_LT(s8, s4 * 1.1);
+    // Every miss of the 8-slot, 512-byte run costs its full
+    // 20-cycle penalty: nothing is hidden.
+    CacheSweep t = small<CacheSweep>();
+    auto &perfect = t.cells[8];
+    auto &finite = t.cells[11];
+    ASSERT_EQ(perfect.dcache_bytes, 0u);
+    ASSERT_EQ(finite.dcache_bytes, 512u);
+    finite.stats.cycles =
+        perfect.stats.cycles + 20 * finite.stats.dcache_misses;
+    EXPECT_FALSE(holds(t, "latency-hidden"));
 }
 
-TEST(PaperShapes, StandbyStationsAreSmallOnRayTracing)
+TEST(PaperShapes, RotationRejectsAStrongInterval)
 {
-    // Table 2: standby stations change ray-tracing results by at
-    // most a few percent.
-    const Workload ray = smallRayTrace();
-    CoreConfig with;
-    with.num_slots = 4;
-    with.fus.load_store = 2;
-    CoreConfig without = with;
-    without.standby_enabled = false;
-    const Outcome ow = runCore(ray, with);
-    const Outcome on = runCore(ray, without);
-    ASSERT_TRUE(ow.ok && on.ok);
-    const double ratio = static_cast<double>(on.stats.cycles) /
-                         static_cast<double>(ow.stats.cycles);
-    EXPECT_GT(ratio, 0.97);
-    EXPECT_LT(ratio, 1.06);
+    RotationSweep t = small<RotationSweep>();
+    t.cells.front().stats.cycles = t.cells.back().stats.cycles * 9 / 10;
+    EXPECT_FALSE(holds(t, "little-influence"));
+}
+
+TEST(PaperShapes, PrivateIcacheRejectsALargeGain)
+{
+    PrivateIcache t = small<PrivateIcache>();
+    ASSERT_TRUE(t.cells[1].private_icache);
+    t.cells[1].stats.cycles = t.cells[0].stats.cycles * 10 / 12;
+    EXPECT_FALSE(holds(t, "sharing-viable"));
 }
 
 TEST(PaperShapes, QueueRegistersBeatMemoryMailboxes)

@@ -1022,9 +1022,12 @@ TEST(ServeServer, WorkerCrashMidSweepIsRetriedAndSweepCompletes)
     std::string error;
     ASSERT_TRUE(server.start(&error)) << error;
 
+    // One attempt takes about 0.13 s in Release and 8 s in a Debug
+    // TSan build, so the killed attempt and its retry both fit in
+    // the 60-s wait while the kill still lands mid-job.
     ExperimentSpec spec;
     spec.name = "crashy";
-    spec.workloads = {WorkloadSpec::rayTrace(128, 128)};
+    spec.workloads = {WorkloadSpec::rayTrace(48, 48)};
     spec.slots = {2};
 
     Client client;
@@ -1034,8 +1037,13 @@ TEST(ServeServer, WorkerCrashMidSweepIsRetriedAndSweepCompletes)
         return client.submitAndWait("crash", spec, 60000);
     });
 
-    // Give the job time to land in the worker, then kill it.
-    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    // Kill the worker once the dispatcher has popped the job.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (server.histograms().queue_depth.count() == 0) {
+        ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     const std::vector<int> pids = server.workerPids();
     ASSERT_FALSE(pids.empty());
     ::kill(pids[0], SIGKILL);
