@@ -2,7 +2,8 @@
  * @file
  * Load test for smtsim-serve: drives an in-process daemon over a
  * real unix socket with thousands of client submissions and writes
- * BENCH_serve.json (scripts/bench_serve.sh wraps this).
+ * BENCH_serve.json (scripts/bench_serve.sh wraps this). Refuses to
+ * measure unless built Release.
  *
  * Three phases:
  *  - herd: N identical single-job specs from many concurrent client
@@ -37,6 +38,7 @@
 #include <unistd.h>
 
 #include "base/sockio.hh"
+#include "paired.hh"
 #include "serve/serve.hh"
 
 using namespace smtsim;
@@ -185,6 +187,8 @@ main(int argc, char **argv)
     // The pool re-executes this binary as its worker.
     if (argc == 2 && std::string(argv[1]) == "--worker")
         return workerMain();
+    if (!bench::releaseBuild("bench_serve", SMTSIM_BUILD_TYPE))
+        return 1;
 
     const int herd_n =
         static_cast<int>(envLong("SMTSIM_SERVE_HERD", 1200));

@@ -5,10 +5,9 @@
 # injected worker crashes. The bench fails hard (exit 1) if the
 # herd executes more than once or any job is lost.
 #
-# The build must be a Release build, for the same reason as
-# scripts/bench_simspeed.sh: latency/throughput numbers from
-# debug-ish builds are not comparable and must never land in
-# BENCH_serve.json.
+# The build must be a Release build: bench_serve refuses to measure
+# otherwise, since latency/throughput numbers from debug-ish builds
+# are not comparable and must never land in BENCH_serve.json.
 #
 # Usage: scripts/bench_serve.sh [build-dir] [out.json]
 #   SMTSIM_SERVE_HERD     herd submissions       (default 1200)
@@ -23,9 +22,6 @@ if [ ! -x "$build/bench/bench_serve" ]; then
     echo "bench_serve not built in $build (cmake --build $build)" >&2
     exit 1
 fi
-
-. "$(dirname "$0")/bench_guard.sh"
-bench_require_release "$build" bench_serve "service latency"
 
 # Dozens of client sockets plus worker pipes; the default soft
 # limit of 1024 is tight on some CI hosts.

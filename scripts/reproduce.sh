@@ -24,12 +24,13 @@ echo "=== benches ==="
 for b in build/bench/bench_*; do
     [ -f "$b" ] && [ -x "$b" ] || continue
     name=$(basename "$b")
+    # Host-speed checks, not experiments: they refuse any build but
+    # Release (docs/PERF.md).
+    case $name in
+        bench_simspeed|bench_manycore|bench_serve) continue ;;
+    esac
     echo "--- $name"
-    if [ "$name" = "bench_simspeed" ]; then
-        "$b" --benchmark_min_time=0.2 | tee "results/$name.txt"
-    else
-        "$b" | tee "results/$name.txt"
-    fi
+    "$b" | tee "results/$name.txt"
 done
 
 echo

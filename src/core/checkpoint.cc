@@ -11,6 +11,7 @@
  */
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -28,7 +29,7 @@ namespace
 
 /** "SMTCKPT1" read as a little-endian u64. */
 constexpr std::uint64_t kCheckpointMagic = 0x3154504b43544d53ull;
-constexpr std::uint32_t kCheckpointVersion = 1;
+constexpr std::uint32_t kCheckpointVersion = 2;
 
 void
 fail(const std::string &what)
@@ -59,6 +60,9 @@ readInsn(obs::ByteReader &r)
     insn.rd = r.u8();
     insn.rs = r.u8();
     insn.rt = r.u8();
+    if (insn.rd >= kNumRegs || insn.rs >= kNumRegs ||
+        insn.rt >= kNumRegs)
+        fail("register index out of range");
     insn.imm = r.i32();
     return insn;
 }
@@ -75,6 +79,8 @@ readOptReg(obs::ByteReader &r)
 {
     const bool has = r.b();
     const RegIndex idx = r.u8();
+    if (has && idx >= kNumRegs)
+        fail("register index out of range");
     return has ? std::optional<RegIndex>(idx) : std::nullopt;
 }
 
@@ -354,7 +360,6 @@ MultithreadedProcessor::saveCheckpoint(std::ostream &os) const
             w.i32(op.slot);
             w.u32(op.addr);
             w.i32(op.words);
-            w.b(op.redirect);
             w.u64(op.done_at);
         }
         w.i32(port.rr_next);
@@ -516,24 +521,14 @@ MultithreadedProcessor::restoreCheckpoint(std::istream &is)
                 fail("bad fetch slot");
             op.addr = r.u32();
             op.words = r.i32();
-            op.redirect = r.b();
+            if (op.words < 0 || op.words > cfg_.fetchBlockWords())
+                fail("fetch block size out of range");
             op.done_at = r.u64();
             port.inflight.push_back(op);
         }
         port.rr_next = r.i32();
         if (port.rr_next < 0 || port.rr_next >= cfg_.num_slots)
             fail("bad fetch round-robin pointer");
-        // A block in flight continues its slot's queued run.
-        for (const FetchOp &op : port.inflight) {
-            const Slot &slot = slots_[op.slot];
-            if (slot.iq_count > 0 &&
-                op.addr != slot.iq_head + static_cast<Addr>(
-                                              slot.iq_count) *
-                                              kInsnBytes) {
-                fail("fetch block not contiguous with its "
-                     "instruction queue (corrupt)");
-            }
-        }
     }
 
     // --- schedule units + queue ring -----------------------------
@@ -607,9 +602,92 @@ MultithreadedProcessor::restoreCheckpoint(std::istream &is)
     readCache(r, icache_);
     readMemory(r, mem_);
 
+    validateRestored();
+
     // An attached event stream must be self-contained from here on.
     snapshot_pending_ = sink_ != nullptr;
     grants_scratch_.clear();
+}
+
+void
+MultithreadedProcessor::validateRestored() const
+{
+    // What the schedule units hold for each slot.
+    struct Held
+    {
+        std::array<int, kNumFuClasses> per_class{};
+        int total = 0;
+        int mem = 0;
+        int queue_writes = 0;
+    };
+    std::vector<Held> held(slots_.size());
+    for (const ScheduleUnit &su : sched_units_) {
+        const int cls = static_cast<int>(su.fuClass());
+        su.forEachHeld([&](const IssuedOp &op) {
+            Held &h = held[op.slot];
+            if (++h.per_class[cls] > 1)
+                fail("standby station and incoming ops of one slot "
+                     "overlap (corrupt)");
+            ++h.total;
+            h.mem += op.insn.isMem() ? 1 : 0;
+            h.queue_writes += op.queue_write ? 1 : 0;
+        });
+    }
+    std::vector<int> pushes(slots_.size(), 0);
+    for (const PendingPush &push : pending_pushes_)
+        ++pushes[push.slot];
+
+    for (std::size_t s = 0; s < slots_.size(); ++s) {
+        const Slot &slot = slots_[s];
+        const Held &h = held[s];
+        if (slot.ungranted_class != h.per_class ||
+            slot.ungranted_total != h.total ||
+            slot.ungranted_mem != h.mem) {
+            fail("ungranted counts differ from the schedule units "
+                 "(corrupt)");
+        }
+
+        // The fetch stream: queued run, then at most one block in
+        // flight, then the next fetch address.
+        const int sid = static_cast<int>(s);
+        const FetchOp *block = nullptr;
+        for (std::size_t p = 0; p < ports_.size(); ++p) {
+            for (const FetchOp &op : ports_[p].inflight) {
+                if (op.slot != sid)
+                    continue;
+                if (block != nullptr ||
+                    p != (cfg_.private_icache ? s : 0))
+                    fail("fetch in flight twice or on a foreign "
+                         "port (corrupt)");
+                block = &op;
+            }
+        }
+        const Addr iq_end =
+            slot.iq_head + static_cast<Addr>(slot.iq_count) * kInsnBytes;
+        const bool stream_ok =
+            block != nullptr
+                ? slot.fetch_inflight &&
+                      (slot.iq_count == 0 || block->addr == iq_end) &&
+                      slot.fetch_addr ==
+                          block->addr +
+                              static_cast<Addr>(block->words) *
+                                  kInsnBytes
+                : !slot.fetch_inflight &&
+                      (slot.iq_count == 0 || slot.fetch_addr == iq_end);
+        if (!stream_ok)
+            fail("fetch in flight not contiguous with its "
+                 "instruction queue (corrupt)");
+
+        // One reservation per deposit still to come. The slot's
+        // queue_push_pending is not compared: a switched-out
+        // context's deposit can land after bindContext() zeroed the
+        // counter for the next context, which a real run saves.
+        const int owed = pushes[s] + h.queue_writes;
+        if (ring_regs_.reservedOn(sid) != owed ||
+            ring_regs_.sizeOf(sid) + owed > ring_regs_.depth())
+            fail("queue-link reservations differ from pending "
+                 "pushes (corrupt)");
+    }
 }
 
 } // namespace smtsim

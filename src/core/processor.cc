@@ -439,7 +439,6 @@ MultithreadedProcessor::scheduleRedirect(int slot_id, Addr target,
         target < end ? static_cast<int>((end - target) / kInsnBytes)
                      : 0;
     op.words = std::min(cfg_.fetchBlockWords(), avail);
-    op.redirect = true;
     const Cycle miss_delay = icacheDelay(target, op.words);
     op.done_at = s + cache + miss_delay;
     port.inflight.push_back(op);
@@ -530,7 +529,6 @@ MultithreadedProcessor::fetchPhase(Cycle c)
                 cfg_.fetchBlockWords(),
                 static_cast<int>((end - slot.fetch_addr) /
                                  kInsnBytes));
-            op.redirect = false;
             op.done_at = c +
                          static_cast<Cycle>(cfg_.icache_cycles) +
                          icacheDelay(op.addr, op.words);

@@ -285,9 +285,6 @@ class MultithreadedProcessor
         int slot = -1;
         Addr addr = 0;
         int words = 0;
-        /** Started by a branch or bind (kept for the checkpoint
-         *  format; deliveries treat every block alike). */
-        bool redirect = false;
         Cycle done_at = 0;
     };
 
@@ -304,6 +301,17 @@ class MultithreadedProcessor
         int slot = -1;
         std::uint64_t value = 0;
     };
+
+    /**
+     * Throw std::runtime_error unless the restored state holds the
+     * cross-field invariants the run loop asserts: per slot, the
+     * schedule units hold at most one op per class and exactly what
+     * its ungranted counts say; its fetch stream (queue, in-flight
+     * block, next fetch address) is one contiguous run; and every
+     * queue-link reservation belongs to a pending push or a held
+     * queue write.
+     */
+    void validateRestored() const;
 
     // ----- per-phase helpers --------------------------------------
     void fetchPhase(Cycle c);

@@ -62,6 +62,9 @@ class QueueRing
         return static_cast<int>(links_[link].fifo.size());
     }
 
+    /** Entries reserved on link @p link by in-flight writers. */
+    int reservedOn(int link) const { return links_[link].reserved; }
+
     /** Checkpoint support (docs/OBSERVABILITY.md). */
     void serialize(obs::ByteWriter &w) const;
     void deserialize(obs::ByteReader &r);

@@ -180,6 +180,9 @@ readIssuedOp(obs::ByteReader &r, int num_slots)
     op.insn.rd = r.u8();
     op.insn.rs = r.u8();
     op.insn.rt = r.u8();
+    if (op.insn.rd >= kNumRegs || op.insn.rs >= kNumRegs ||
+        op.insn.rt >= kNumRegs)
+        corrupt("register index out of range in a schedule unit");
     op.insn.imm = r.i32();
     op.pc = r.u32();
     op.slot = r.i32();

@@ -96,6 +96,20 @@ class ScheduleUnit
         return incoming_.empty() && standby_occupied_ == 0;
     }
 
+    /** Call @p fn on every instruction held here: each occupied
+     *  standby station, then each arriving instruction. */
+    template <class Fn>
+    void
+    forEachHeld(Fn &&fn) const
+    {
+        for (const auto &station : standby_) {
+            if (station.has_value())
+                fn(*station);
+        }
+        for (const IssuedOp &op : incoming_)
+            fn(op);
+    }
+
     int numUnits() const { return static_cast<int>(units_.size()); }
     FuClass fuClass() const { return cls_; }
 

@@ -6,9 +6,11 @@
  * happening — fetch delivery, D2 issue, standby park, grant, queue
  * push/pop, rotation, trap, context bind/unbind — through an
  * abstract EventSink. The emitting code guards every emission with
- * a null-pointer check, so a disabled sink costs one predictable
- * branch per would-be event and nothing else (the ≤2% bench guard
- * in bench_simspeed holds the line).
+ * a null-pointer check, so a disabled sink is meant to cost one
+ * predictable branch per would-be event and nothing else. No check
+ * measures that cost: bench_simspeed's ≤2% pair runs this same
+ * null-sink code on both sides, and a core built without emission
+ * to compare against does not exist.
  *
  * Events deliberately carry the *encoded* instruction word instead
  * of strings: formatting (disassembly) happens in the sink or in

@@ -346,11 +346,18 @@ TEST(Checkpoint, RejectsTruncatedStream)
     EXPECT_THROW(fresh.restoreCheckpoint(cut),
                  std::runtime_error);
 
-    std::stringstream garbage("not a checkpoint at all");
-    MainMemory mem3;
-    MultithreadedProcessor fresh2(w.program, mem3, cfg);
-    EXPECT_THROW(fresh2.restoreCheckpoint(garbage),
-                 std::runtime_error);
+    // Garbage, and the header of a version-1 image (the layout
+    // before FetchOp lost its redirect flag).
+    std::string v1 = bytes;
+    v1[8] = 1;
+    for (const std::string &bad :
+         {std::string("not a checkpoint at all"), v1}) {
+        std::stringstream in(bad);
+        MainMemory mem3;
+        MultithreadedProcessor fresh2(w.program, mem3, cfg);
+        EXPECT_THROW(fresh2.restoreCheckpoint(in),
+                     std::runtime_error);
+    }
 }
 
 namespace
@@ -363,12 +370,20 @@ namespace
  */
 struct CkptLayout
 {
+    std::size_t ctx0_queue_map = 0;     ///< flag + u8, first mapping
     std::size_t slot0_frame = 0;        ///< i32
     std::size_t slot0_queue = 0;        ///< slot 0's queue addresses
     std::uint32_t slot0_queue_count = 0;
+    std::size_t slot0_fetch_addr = 0;   ///< u32, then the in-flight flag
     std::size_t slot0_window = 0;       ///< u32 window length
+    std::size_t slot0_ungranted = 0;    ///< i32 ungranted_total
+    std::size_t fetch_op = 0;           ///< first in-flight fetch
     std::size_t sched0_units = 0;       ///< u32, first schedule unit
     std::size_t sched0_standby = 0;     ///< u32, first schedule unit
+    std::size_t held_op = 0;            ///< first op a unit holds
+    std::size_t held_incoming = 0;      ///< u32, that unit's arrivals
+    std::size_t held_incoming_end = 0;  ///< just past its arrivals
+    std::size_t link0_reserved = 0;     ///< i32
     std::size_t pushes = 0;             ///< u32 pending-push count
     std::size_t pushes_end = 0;         ///< just past the pushes
     std::size_t ring = 0;               ///< first i32 of the ring
@@ -400,8 +415,10 @@ walkCheckpoint(const std::string &bytes)
     skip(8 + 4 + 8 + 8);        // magic, version, fingerprint, cycle
     const std::uint32_t nctx = r.u32();
     for (std::uint32_t f = 0; f < nctx; ++f) {
-        // state, resume pc, registers, four queue mappings
-        skip(1 + 4 + 4 * kNumRegs + 8 * kNumRegs + 4 * 2);
+        skip(1 + 4 + 4 * kNumRegs + 8 * kNumRegs);  // state, pc, regs
+        if (f == 0)
+            l.ctx0_queue_map = at();
+        skip(4 * 2);            // four queue mappings
         skip(r.u32() * (kInsnBytes + 4));       // replay entries
         skip(8 + 1 + 4 + 8);    // ready_at, satisfied addr, insns
     }
@@ -417,19 +434,27 @@ walkCheckpoint(const std::string &bytes)
             l.slot0_queue_count = niq;
         }
         skip(4 * niq);
+        if (s == 0)
+            l.slot0_fetch_addr = at();
         skip(4 + 1);            // fetch address, fetch in flight
         if (s == 0)
             l.slot0_window = at();
         skip(r.u32() * (kInsnBytes + 4 + 1));
-        // d2_allowed, scoreboards, ungranted counts, push pending
-        skip(8 + 16 * kNumRegs + 4 + 4 * kNumFuClasses + 4 + 4);
+        skip(8 + 16 * kNumRegs);        // d2_allowed, scoreboards
+        if (s == 0)
+            l.slot0_ungranted = at();
+        // ungranted counts, push pending
+        skip(4 + 4 * kNumFuClasses + 4 + 4);
         skip(kWbRingBytes);
     }
 
     const std::uint32_t nports = r.u32();
     for (std::uint32_t p = 0; p < nports; ++p) {
         skip(8);                // free_at
-        skip(r.u32() * (4 + 4 + 4 + 1 + 8));
+        const std::uint32_t nops = r.u32();
+        if (nops > 0 && l.fetch_op == 0)
+            l.fetch_op = at();
+        skip(nops * (4 + 4 + 4 + 8));   // slot, addr, words, done_at
         skip(4);                // round-robin pointer
     }
 
@@ -440,15 +465,29 @@ walkCheckpoint(const std::string &bytes)
         skip(8 * r.u32());
         if (u == 0)
             l.sched0_standby = at();
+        std::size_t held = 0;
         const std::uint32_t ns = r.u32();
-        for (std::uint32_t i = 0; i < ns; ++i)
-            if (r.b())
+        for (std::uint32_t i = 0; i < ns; ++i) {
+            if (r.b()) {
+                held = held ? held : at();
                 skip(kIssuedOpBytes);
-        skip(r.u32() * kIssuedOpBytes);
+            }
+        }
+        const std::size_t incoming = at();
+        const std::uint32_t ni = r.u32();
+        held = held ? held : (ni > 0 ? at() : 0);
+        skip(ni * kIssuedOpBytes);
+        if (held != 0 && l.held_op == 0) {
+            l.held_op = held;
+            l.held_incoming = incoming;
+            l.held_incoming_end = at();
+        }
     }
     const std::uint32_t nlinks = r.u32();
     for (std::uint32_t i = 0; i < nlinks; ++i) {
         skip(8 * r.u32());
+        if (i == 0)
+            l.link0_reserved = at();
         skip(4);                // reserved
     }
     l.pushes = at();
@@ -623,6 +662,75 @@ TEST(CheckpointCorruption, ScheduleUnitShapeMismatch)
     c.expectRejected(standby, "standby shape");
 }
 
+TEST(CheckpointCorruption, RegisterIndexOutOfRange)
+{
+    // Register indices name a 32-entry array; the run indexes the
+    // scoreboards and register files with them unchecked.
+    const MatmulCheckpoint c;
+    std::string mapping = c.bytes;
+    mapping[c.layout.ctx0_queue_map] = 1;
+    mapping[c.layout.ctx0_queue_map + 1] = kNumRegs;
+    c.expectRejected(mapping, "register index out of range");
+
+    ASSERT_NE(c.layout.held_op, 0u) << "no unit holds an op";
+    std::string op = c.bytes;
+    op[c.layout.held_op + 2] = static_cast<char>(0xff);    // rd
+    c.expectRejected(op, "register index out of range");
+}
+
+TEST(CheckpointCorruption, ScheduleUnitsDisagreeWithTheSlots)
+{
+    const MatmulCheckpoint c;
+    ASSERT_NE(c.layout.held_op, 0u) << "no unit holds an op";
+    // A second copy of a held op among the same unit's arrivals:
+    // one slot then has two ops bound for one standby station.
+    std::string twice = c.bytes;
+    putU32(twice, c.layout.held_incoming,
+           getU32(c.bytes, c.layout.held_incoming) + 1);
+    twice.insert(c.layout.held_incoming_end,
+                 c.bytes.substr(c.layout.held_op, kIssuedOpBytes));
+    c.expectRejected(twice, "overlap");
+
+    std::string counts = c.bytes;
+    putU32(counts, c.layout.slot0_ungranted,
+           getU32(c.bytes, c.layout.slot0_ungranted) + 1);
+    c.expectRejected(counts, "ungranted counts");
+}
+
+TEST(CheckpointCorruption, FetchStreamNotContiguous)
+{
+    const MatmulCheckpoint c;
+    std::string flag = c.bytes;
+    flag[c.layout.slot0_fetch_addr + 4] ^= 1;
+    c.expectRejected(flag, "fetch in flight not contiguous");
+
+    // Moving the next fetch address breaks the run whenever slot 0
+    // has words queued or a block in flight.
+    ASSERT_TRUE(c.layout.slot0_queue_count > 0 ||
+                c.bytes[c.layout.slot0_fetch_addr + 4] != 0);
+    std::string addr = c.bytes;
+    putU32(addr, c.layout.slot0_fetch_addr,
+           getU32(c.bytes, c.layout.slot0_fetch_addr) + 4);
+    c.expectRejected(addr, "fetch in flight not contiguous");
+
+    // Bit 31 of a block's size vanishes from the 32-bit address
+    // sum, so the size needs its own range check.
+    ASSERT_NE(c.layout.fetch_op, 0u) << "no fetch in flight";
+    std::string words = c.bytes;
+    putU32(words, c.layout.fetch_op + 8,
+           getU32(c.bytes, c.layout.fetch_op + 8) | 0x80000000u);
+    c.expectRejected(words, "fetch block size");
+}
+
+TEST(CheckpointCorruption, ReservationWithoutPendingPush)
+{
+    const MatmulCheckpoint c;
+    std::string bad = c.bytes;
+    putU32(bad, c.layout.link0_reserved,
+           getU32(c.bytes, c.layout.link0_reserved) + 1);
+    c.expectRejected(bad, "reservations differ from pending pushes");
+}
+
 TEST(Checkpoint, RejectsNonContiguousInstructionQueue)
 {
     MatmulParams mp;
@@ -672,6 +780,66 @@ TEST(Checkpoint, RejectsNonContiguousInstructionQueue)
         EXPECT_NE(std::string(e.what()).find("not contiguous"),
                   std::string::npos)
             << e.what();
+    }
+}
+
+TEST(Checkpoint, QueueWritesAcrossRemoteSwitchesRestoreAtEveryCycle)
+{
+    // Each context maps r21 onto its slot's queue link, writes it and
+    // then traps on a remote load, so a queue write is still on its
+    // way to the link when the slot switches to the next ready
+    // context. Every cycle's image must restore and finish exactly
+    // like the uninterrupted run.
+    const Program prog = assemble(R"(
+main:   qen  r20, r21
+        la   r1, vals
+        addi r21, r0, 7
+        lw   r5, 0(r1)
+        add  r21, r5, r0
+        lw   r6, 4(r1)
+        addi r21, r6, 1
+        halt
+        .data
+vals:   .word 1, 2, 3, 4
+)");
+    for (const int slots : {1, 2}) {
+        CoreConfig cfg;
+        cfg.num_slots = slots;
+        cfg.num_frames = slots + 2;
+        cfg.queue_reg_depth = 16;
+        cfg.max_cycles = 100'000;
+        cfg.remote.base = prog.data_base;
+        cfg.remote.size = static_cast<Addr>(prog.data.size());
+        cfg.remote.latency = 7;
+        const auto spawnAll = [&](MultithreadedProcessor &cpu) {
+            for (int f = 1; f < cfg.frames(); ++f)
+                cpu.spawnContext(prog.entry);
+        };
+
+        MainMemory mem_ref;
+        prog.loadInto(mem_ref);
+        MultithreadedProcessor ref(prog, mem_ref, cfg);
+        spawnAll(ref);
+        const RunStats ref_stats = ref.run();
+        ASSERT_TRUE(ref_stats.finished) << slots << " slots";
+        ASSERT_GT(ref_stats.context_switches, 0u) << slots << " slots";
+
+        for (Cycle at = 1; at < ref_stats.cycles; ++at) {
+            const std::string what = std::to_string(slots) +
+                                     " slots @" + std::to_string(at);
+            MainMemory mem_a;
+            prog.loadInto(mem_a);
+            MultithreadedProcessor a(prog, mem_a, cfg);
+            spawnAll(a);
+            a.runUntil(at);
+            std::stringstream ckpt;
+            a.saveCheckpoint(ckpt);
+
+            MainMemory mem_b;
+            MultithreadedProcessor b(prog, mem_b, cfg);
+            ASSERT_NO_THROW(b.restoreCheckpoint(ckpt)) << what;
+            expectSameStats(ref_stats, b.run(), what);
+        }
     }
 }
 
